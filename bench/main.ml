@@ -156,7 +156,7 @@ type lp_probe_run = {
 let lp_probe_runs : lp_probe_run list ref = ref []
 
 (* Sparse Markowitz LU vs the dense-LU + eta-file factorization backend
-   (VMALLOC_DENSE_LU=1) over the same cold + warm re-solve sequence (lp
+   ([~dense_lu:true]) over the same cold + warm re-solve sequence (lp
    section). Flop, fill and refactorization counters are deterministic;
    wall times are not. *)
 type lp_sparse_lu_run = {
@@ -934,9 +934,8 @@ let lp_probe_measure ~label instance =
   run
 
 (* One LP through the revised simplex under both factorization backends:
-   a cold solve plus three warm re-solves from the optimal basis.
-   VMALLOC_DENSE_LU is read per solve, so toggling it in-process selects
-   the backend. The arms must return bit-identical solutions (locked
+   a cold solve plus three warm re-solves from the optimal basis, the
+   backend selected by [~dense_lu]. The arms must return bit-identical solutions (locked
    exhaustively by test_simplex_diff.ml); here identity doubles as a
    sanity bit in the artifact — verdict and objective bits here; the full
    vectors only on the lp_gen corpus, see below — and the flop counters
@@ -954,22 +953,18 @@ let lp_sparse_lu_measure ~label p =
       Obs.Metrics.reset ();
       Obs.Metrics.set_enabled was_enabled)
   @@ fun () ->
-  let arm dense =
-    let prev = Sys.getenv_opt "VMALLOC_DENSE_LU" in
-    Unix.putenv "VMALLOC_DENSE_LU" (if dense then "1" else "0");
-    Fun.protect ~finally:(fun () ->
-        Unix.putenv "VMALLOC_DENSE_LU" (Option.value prev ~default:"0"))
-    @@ fun () ->
+  let arm dense_lu =
     Obs.Metrics.set_enabled false;
     Obs.Metrics.reset ();
     Obs.Metrics.set_enabled true;
     let results, dt =
       time @@ fun () ->
-      let r, basis = Lp.Simplex.solve_basis p in
+      let r, basis = Lp.Simplex.solve_basis ~dense_lu p in
       r
       ::
       (match basis with
-      | Some b -> List.init 3 (fun _ -> Lp.Simplex.solve ~warm_basis:b p)
+      | Some b ->
+          List.init 3 (fun _ -> Lp.Simplex.solve ~warm_basis:b ~dense_lu p)
       | None -> [])
     in
     Obs.Metrics.set_enabled false;

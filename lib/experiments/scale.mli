@@ -11,7 +11,7 @@
     sizes for tractability (DESIGN.md §3).
 
     Select with the [VMALLOC_SCALE] environment variable
-    ([small]/[medium]/[paper]); [FULL=1] is an alias for [medium]. *)
+    ([small]/[medium]/[paper]). *)
 
 type t = {
   label : string;
@@ -48,7 +48,7 @@ val medium : t
 val paper : t
 
 val from_env : unit -> t
-(** Reads [VMALLOC_SCALE] / [FULL]; defaults to {!small}. *)
+(** Reads [VMALLOC_SCALE]; defaults to {!small}. *)
 
 val domains_from_env : unit -> int
 (** Trial parallelism: [VMALLOC_DOMAINS] if set ([1] = legacy sequential

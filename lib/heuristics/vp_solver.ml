@@ -26,7 +26,6 @@ let pack_at_yield strategy instance y =
 let c_oracle = Obs.Metrics.counter "vp_solver.oracle_calls"
 let c_feasible = Obs.Metrics.counter "vp_solver.oracle_feasible"
 let c_attempts = Obs.Metrics.counter "vp_solver.strategy_attempts"
-let c_pruned = Obs.Metrics.counter "vp_solver.strategies_pruned"
 let h_win_index = Obs.Metrics.histogram "vp_solver.strategies_per_win"
 
 let win_counter strategy =
@@ -34,28 +33,19 @@ let win_counter strategy =
 
 let probe_args y = [ ("y", Printf.sprintf "%.6f" y) ]
 
-let probe_single strategy instance y =
+(* One fixed-yield probe: try [strategies] in order until one packs.
+   [packer y] runs inside the probe span and returns the attempt function
+   at [y] — fresh allocation on the naive path, the refilled kernel
+   otherwise. *)
+let probe ~packer strategies y =
   Obs.Trace.span "probe" ~args:(probe_args y) @@ fun () ->
   Obs.Metrics.incr c_oracle;
-  Obs.Metrics.incr c_attempts;
-  match pack_at_yield strategy instance y with
-  | None -> None
-  | Some placement ->
-      if Obs.Metrics.enabled () then begin
-        Obs.Metrics.incr c_feasible;
-        Obs.Metrics.incr (win_counter strategy);
-        Obs.Metrics.observe h_win_index 1
-      end;
-      Some placement
-
-let probe_multi strategies instance y =
-  Obs.Trace.span "probe" ~args:(probe_args y) @@ fun () ->
-  Obs.Metrics.incr c_oracle;
+  let pack = packer y in
   let rec attempt idx = function
     | [] -> None
     | strategy :: rest -> (
         Obs.Metrics.incr c_attempts;
-        match pack_at_yield strategy instance y with
+        match pack strategy with
         | None -> attempt (idx + 1) rest
         | Some placement ->
             if Obs.Metrics.enabled () then begin
@@ -82,22 +72,7 @@ let probe_multi strategies instance y =
    [axpy] expression fresh allocation uses; reset bins equal fresh bins;
    memoized sorts are the same stable sorts over the same values; and the
    scratch-backed Permutation-Pack selection compares the same keys with
-   the same tie-breaks. Locked down by test_kernel_diff.ml.
-
-   Monotone strategy pruning — skip a strategy at probe [y] once it has
-   failed at some [y' <= y] — is also implemented, but as an *opt-in*
-   ([~prune:true] / VMALLOC_PROBE_PRUNE=1). Its premise, per-strategy
-   monotone feasibility, is strictly stronger than the combined-oracle
-   monotonicity the binary search assumes, and differential sweeps at
-   Table-1 scale falsified it: packing heuristics are anomalous, so a
-   strategy that fails at [y'] can succeed at [y > y'] when its sort
-   order flips, and an exact skip-with-verification scheme would re-run
-   every skipped attempt and save nothing. Measured on the Table-1
-   workload the rule fires a handful of times per solve (feasible probes
-   win at index ~1-2; infeasible probes arrive in decreasing yield order,
-   so their failures never enable a skip), so the default path gives up
-   almost nothing by leaving it off — and keeps its outputs bit-identical
-   to the naive path. *)
+   the same tie-breaks. Locked down by test_kernel_diff.ml. *)
 type kernel = {
   mutable k_instance : Model.Instance.t;
       (* mutable: scratch-pool rebinding re-points a retired solve's
@@ -105,12 +80,10 @@ type kernel = {
   k_items : Packing.Item.t array;
   k_bins : Packing.Bin.t array;
   k_cache : Packing.Strategy.cache;
-  mutable k_fail : float array;
-      (* per strategy: lowest yield this solve has seen it fail at *)
   mutable k_yield : float;  (* yield k_items currently hold; nan = none *)
 }
 
-let make_kernel instance ~n_strategies =
+let make_kernel instance =
   let dims = instance.Model.Instance.dims in
   {
     k_instance = instance;
@@ -119,7 +92,6 @@ let make_kernel instance ~n_strategies =
           Packing.Item.v ~id:j ~demand:(Vec.Epair.zero dims));
     k_bins = fresh_bins instance;
     k_cache = Packing.Strategy.cache ();
-    k_fail = Array.make (max 1 n_strategies) infinity;
     k_yield = Float.nan;
   }
 
@@ -150,9 +122,9 @@ let refill k yld =
    allocated afresh. Results are domain-count independent — every kernel,
    fresh or rebound, computes the same bits (rebinding restores exactly
    the freshly-made state: [Bin.rebind] bins, [Strategy.cache_reset]
-   memos, pristine failure table, no held yield) — only the reuse/memo
-   *hit* counters can vary with probe-task placement, like
-   [binary_search.speculative_waste] already does. *)
+   memos, no held yield) — only the reuse/memo *hit* counters can vary
+   with probe-task placement, like [binary_search.speculative_waste]
+   already does. *)
 type kernel_pool = {
   mutable entries : (int * kernel) list;  (* most recent solve first *)
   mutable free : kernel list;  (* retired kernels awaiting rebinding *)
@@ -215,9 +187,9 @@ let shape_matches k instance =
 (* Restore a recycled kernel to exactly the state [make_kernel] would
    build for [instance]: re-point the bins at the new nodes' capacities,
    drop every sort/permutation memo (the bin memos alias the old bins),
-   reset the failure table, and forget the held yield so the first probe
-   refills the item demands from the new instance's buffers. *)
-let rebind_kernel k instance ~n_strategies =
+   and forget the held yield so the first probe refills the item demands
+   from the new instance's buffers. *)
+let rebind_kernel k instance =
   k.k_instance <- instance;
   Array.iteri
     (fun h (b : Packing.Bin.t) ->
@@ -225,10 +197,6 @@ let rebind_kernel k instance ~n_strategies =
         ~capacity:(Model.Instance.node instance h).Model.Node.capacity)
     k.k_bins;
   Packing.Strategy.cache_reset k.k_cache;
-  let n = max 1 n_strategies in
-  if Array.length k.k_fail = n then
-    Array.fill k.k_fail 0 n infinity
-  else k.k_fail <- Array.make n infinity;
   k.k_yield <- Float.nan
 
 let take_free pool instance =
@@ -248,7 +216,7 @@ let evict_oldest pool =
       pool.entries <- List.rev rev_rest;
       if List.length pool.free < free_cap then pool.free <- k :: pool.free
 
-let kernel_for ~token instance ~n_strategies =
+let kernel_for ~token instance =
   let pool = Domain.DLS.get kernel_pools in
   match List.assoc_opt token pool.entries with
   | Some k -> k
@@ -258,98 +226,38 @@ let kernel_for ~token instance ~n_strategies =
       let k =
         match take_free pool instance with
         | Some k ->
-            rebind_kernel k instance ~n_strategies;
+            rebind_kernel k instance;
             Obs.Metrics.incr c_scratch;
             k
-        | None -> make_kernel instance ~n_strategies
+        | None -> make_kernel instance
       in
       pool.entries <- (token, k) :: pool.entries;
       k
 
-let attempt_kernel k strategy ~prune ~index ~yld =
-  if prune && k.k_fail.(index) <= yld then begin
-    Obs.Metrics.incr c_pruned;
-    None
+let attempt_kernel k strategy =
+  Array.iter Packing.Bin.reset k.k_bins;
+  Packing.Strategy.run ~cache:k.k_cache strategy ~bins:k.k_bins
+    ~items:k.k_items
+
+(* The fixed-yield probe oracle of one solve and its retirement hook: the
+   probe-shared kernel by default, the naive fresh-allocation path under
+   [~kernel:false] — the reference the differential tests diff against.
+   Handed out raw to the batched solve driver ({!Batch}), which steps a
+   {!Binary_search.plan} under {!Par.Scheduler} and retires the solve's
+   kernels into the per-domain free pools once the request completes. *)
+let batch_oracle ?(kernel = true) strategies instance =
+  if kernel then begin
+    let token = Atomic.fetch_and_add solve_tokens 1 in
+    let packer yld =
+      let k = kernel_for ~token instance in
+      refill k yld;
+      attempt_kernel k
+    in
+    (probe ~packer strategies, fun () -> retire_token token)
   end
-  else begin
-    Obs.Metrics.incr c_attempts;
-    Array.iter Packing.Bin.reset k.k_bins;
-    match
-      Packing.Strategy.run ~cache:k.k_cache strategy ~bins:k.k_bins
-        ~items:k.k_items
-    with
-    | None ->
-        if yld < k.k_fail.(index) then k.k_fail.(index) <- yld;
-        None
-    | some -> some
-  end
-
-let probe_single_kernel ~token strategy instance yld =
-  Obs.Trace.span "probe" ~args:(probe_args yld) @@ fun () ->
-  Obs.Metrics.incr c_oracle;
-  let k = kernel_for ~token instance ~n_strategies:1 in
-  refill k yld;
-  match attempt_kernel k strategy ~prune:false ~index:0 ~yld with
-  | None -> None
-  | Some placement ->
-      if Obs.Metrics.enabled () then begin
-        Obs.Metrics.incr c_feasible;
-        Obs.Metrics.incr (win_counter strategy);
-        Obs.Metrics.observe h_win_index 1
-      end;
-      Some placement
-
-let probe_multi_kernel ~token ~prune strategies ~n_strategies instance yld =
-  Obs.Trace.span "probe" ~args:(probe_args yld) @@ fun () ->
-  Obs.Metrics.incr c_oracle;
-  let k = kernel_for ~token instance ~n_strategies in
-  refill k yld;
-  (* [idx] counts performed attempts (the strategies_per_win bill);
-     [i] indexes the full list for the pruning table. *)
-  let rec attempt i idx = function
-    | [] -> None
-    | strategy :: rest -> (
-        let skipped = prune && k.k_fail.(i) <= yld in
-        match attempt_kernel k strategy ~prune ~index:i ~yld with
-        | None -> attempt (i + 1) (if skipped then idx else idx + 1) rest
-        | Some placement ->
-            if Obs.Metrics.enabled () then begin
-              Obs.Metrics.incr c_feasible;
-              Obs.Metrics.incr (win_counter strategy);
-              Obs.Metrics.observe h_win_index idx
-            end;
-            Obs.Trace.instant "win"
-              ~args:
-                (("strategy", Packing.Strategy.name strategy)
-                :: probe_args yld);
-            Some placement)
-  in
-  attempt 0 1 strategies
-
-(* VMALLOC_NO_PROBE_CACHE=1 restores the naive fresh-allocation probe path
-   (no shared scratch, no sort memos, no pruning) — the escape hatch the
-   differential tests diff against. Read per solve so tests can toggle it;
-   the [?kernel] argument overrides the environment either way. *)
-let kernel_disabled_env () =
-  match Sys.getenv_opt "VMALLOC_NO_PROBE_CACHE" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-let use_kernel = function
-  | Some choice -> choice
-  | None -> not (kernel_disabled_env ())
-
-(* Monotone pruning is opt-in (see the kernel comment above): default off,
-   enabled per process with VMALLOC_PROBE_PRUNE=1 or per solve with
-   [~prune:true]; the argument overrides the environment either way. *)
-let prune_enabled_env () =
-  match Sys.getenv_opt "VMALLOC_PROBE_PRUNE" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-let use_prune = function
-  | Some choice -> choice
-  | None -> prune_enabled_env ()
+  else
+    (probe ~packer:(fun y s -> pack_at_yield s instance y) strategies,
+     fun () -> ())
 
 let evaluate instance placement =
   match Model.Placement.min_yield instance placement with
@@ -374,39 +282,12 @@ let search ?tolerance ?pool ?on_round oracle =
 let solve ?tolerance ?pool ?on_round ?kernel strategy instance =
   Obs.Trace.span "solve" ~args:[ ("strategy", Packing.Strategy.name strategy) ]
   @@ fun () ->
-  let oracle =
-    if use_kernel kernel then
-      let token = Atomic.fetch_and_add solve_tokens 1 in
-      probe_single_kernel ~token strategy instance
-    else probe_single strategy instance
-  in
-  search ?tolerance ?pool ?on_round oracle |> finish instance
+  let probe, _retire = batch_oracle ?kernel [ strategy ] instance in
+  search ?tolerance ?pool ?on_round probe |> finish instance
 
-(* Oracle factory for the batched solve driver ({!Batch}): the same
-   probe path [solve_multi] uses, but handed out raw so a
-   {!Binary_search.plan} can be stepped by {!Par.Scheduler}, plus the
-   retirement hook that releases the solve's kernels into the per-domain
-   free pools once the request completes. *)
-let batch_oracle ?kernel ?prune strategies instance =
-  if use_kernel kernel then begin
-    let token = Atomic.fetch_and_add solve_tokens 1 in
-    ( probe_multi_kernel ~token ~prune:(use_prune prune) strategies
-        ~n_strategies:(List.length strategies)
-        instance,
-      fun () -> retire_token token )
-  end
-  else (probe_multi strategies instance, fun () -> ())
-
-let solve_multi ?tolerance ?pool ?on_round ?kernel ?prune strategies instance =
+let solve_multi ?tolerance ?pool ?on_round ?kernel strategies instance =
   Obs.Trace.span "solve_multi"
     ~args:[ ("strategies", string_of_int (List.length strategies)) ]
   @@ fun () ->
-  let oracle =
-    if use_kernel kernel then
-      let token = Atomic.fetch_and_add solve_tokens 1 in
-      probe_multi_kernel ~token ~prune:(use_prune prune) strategies
-        ~n_strategies:(List.length strategies)
-        instance
-    else probe_multi strategies instance
-  in
-  search ?tolerance ?pool ?on_round oracle |> finish instance
+  let probe, _retire = batch_oracle ?kernel strategies instance in
+  search ?tolerance ?pool ?on_round probe |> finish instance

@@ -43,45 +43,31 @@ val solve :
     By default probes run through the probe-shared packing kernel
     (DESIGN.md §11): per-solve item/bin scratch refilled in place,
     memoized sort orders and Permutation-Pack item permutations —
-    bit-identical to the naive fresh-allocation path, just cheaper. Set
-    the [VMALLOC_NO_PROBE_CACHE=1] environment variable (read per solve)
-    or pass [~kernel:false] to restore the naive path; [~kernel]
-    overrides the environment in both directions. Kernel sort-memo hits
-    land on the [vp_solver.items_cache_hits] counter. *)
+    bit-identical to the naive fresh-allocation path, just cheaper.
+    [~kernel:false] runs the naive path instead — the reference the
+    differential tests compare against. Kernel sort-memo hits land on the
+    [vp_solver.items_cache_hits] counter. *)
 
 val solve_multi :
   ?tolerance:float ->
   ?pool:Par.Pool.t ->
   ?on_round:(float array -> unit) ->
   ?kernel:bool ->
-  ?prune:bool ->
   Packing.Strategy.t list ->
   Model.Instance.t ->
   solution option
 (** Binary-search where each probe tries the strategies in order and
     succeeds as soon as one packs — the META* construction (§3.5.3,
     §3.5.5). The achieved minimum yield is evaluated on the final
-    placement. [pool] / [on_round] / [kernel] as in {!solve}.
-
-    [prune] enables monotone strategy pruning on the kernel path: a
-    strategy that failed at yield [y'] is skipped at any probe
-    [y >= y'], counted on [vp_solver.strategies_pruned]. Off by default
-    (enable per process with [VMALLOC_PROBE_PRUNE=1]; the argument
-    overrides the environment): the skip is only exact if each
-    strategy's feasibility is monotone in the yield, and differential
-    sweeps falsified that premise at Table-1 scale — pruned solves can
-    return a different (still valid) placement than the naive path, so
-    the mode trades the bit-identity guarantee for the skipped
-    attempts. *)
+    placement. [pool] / [on_round] / [kernel] as in {!solve}. *)
 
 val batch_oracle :
   ?kernel:bool ->
-  ?prune:bool ->
   Packing.Strategy.t list ->
   Model.Instance.t ->
   (float -> Model.Placement.t option) * (unit -> unit)
-(** The raw fixed-yield probe oracle behind {!solve_multi} (kernel-backed
-    unless disabled, see {!solve}) together with its retirement hook, for
+(** The raw fixed-yield probe oracle behind {!solve} and {!solve_multi}
+    (kernel-backed unless [~kernel:false], see {!solve}) together with its retirement hook, for
     callers that drive the yield search themselves — the batched solve
     driver ({!Batch}) stepping a {!Binary_search.plan} under
     {!Par.Scheduler}. Call the hook exactly once, after the last probe:

@@ -1,9 +1,8 @@
 (** Two-phase dense primal simplex — the reference oracle.
 
     This is the original full-tableau solver, kept as the differential-test
-    oracle for the sparse revised {!Simplex} (and as the
-    [VMALLOC_DENSE_LP=1] escape hatch, dispatched from {!Simplex.solve}).
-    It favors obviousness over speed:
+    oracle for the sparse revised {!Simplex}; the tests and the bench call
+    it directly. It favors obviousness over speed:
 
     - variable lower bounds are shifted out and finite upper bounds become
       explicit rows, so the working form is [min c'x, Ax {<=,>=,=} b, x >= 0];

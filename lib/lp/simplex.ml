@@ -17,7 +17,7 @@ let degenerate_step = 1e-9
    signature — see Dense_simplex for the same policy on the oracle). *)
 let bland_after_degenerate = 16
 
-(* Eta-file length at which the dense-LU backend (VMALLOC_DENSE_LU=1)
+(* Eta-file length at which the dense-LU backend ([~dense_lu:true])
    refactorizes from scratch. Each raw eta both slows FTRAN/BTRAN and
    compounds rounding error, so the file is bounded; a dense LU of the
    (small) basis every [refactor_every] pivots costs
@@ -143,7 +143,7 @@ let col_dot std j w =
   else w.((j - std.n) mod std.m)
 
 (* Dense LU with partial pivoting of the m x m basis matrix — the
-   VMALLOC_DENSE_LU=1 backend, kept as the factorization-level
+   [~dense_lu:true] backend, kept as the factorization-level
    differential oracle. [lu] stores L (unit diagonal, below) and U (on and
    above); [piv.(k)] is the row k was swapped with at step k; [flops]
    counts the multiply-subtracts the elimination spent. *)
@@ -267,7 +267,7 @@ let dummy_eta = { e_row = 0; e_piv = 1.; e_idx = [||]; e_val = [||] }
 
 (* Basis-inverse maintenance backend. The default is {!Sparse_lu}
    (Markowitz LU, Forrest-Tomlin updates, adaptive refactorization);
-   [VMALLOC_DENSE_LU=1] selects the original dense LU + raw eta file,
+   [~dense_lu:true] selects the original dense LU + raw eta file,
    kept verbatim as the factorization-level differential oracle. *)
 type backend =
   | Dense of { mutable lu : Lu.t; etas : eta array; mutable n_etas : int }
@@ -351,7 +351,7 @@ let compute_xb st =
    basis: a pure function of the discrete (bas, stat) state, independent
    of the backend and of the eta history that led here. Called at phase
    boundaries and optimal endpoints by BOTH backends — this is what makes
-   the sparse default and the VMALLOC_DENSE_LU leg return
+   the sparse default and the dense-LU backend return
    bitwise-identical solutions whenever they pivot through the same
    bases. Deliberately unmetered: only backend factorizations count as
    refactorizations. *)
@@ -761,20 +761,11 @@ let extract (p : Problem.t) st =
 
 let default_iterations std = max 20_000 (50 * (std.m + std.n_cols))
 
-(* VMALLOC_DENSE_LU=1 keeps the revised method but routes basis
-   maintenance through the original dense LU + raw eta file — the
-   factorization-level differential oracle (the whole-solver oracle stays
-   VMALLOC_DENSE_LP=1). Read per solve so tests can toggle it. *)
-let dense_lu_requested () =
-  match Sys.getenv_opt "VMALLOC_DENSE_LU" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
 (* Cold start: classic two-phase. The initial basis is the logical of every
    row whose rhs its bounds admit, else that row's artificial widened to the
    rhs's side ([0, inf) with cost +1, or (-inf, 0] with cost -1) — the
    column layout itself never depends on the rhs. *)
-let solve_cold ~key ~max_iterations (p : Problem.t) std =
+let solve_cold ~dense_lu ~key ~max_iterations (p : Problem.t) std =
   let m = std.m in
   let stat = Array.make std.n_cols st_lower in
   for j = 0 to std.n_cols - 1 do
@@ -814,7 +805,7 @@ let solve_cold ~key ~max_iterations (p : Problem.t) std =
      backend. Neither is metered — parity with the warm path, where only
      genuine refactorizations tick the counter. *)
   let rep =
-    if dense_lu_requested () then
+    if dense_lu then
       Dense
         { lu = dense_factor_basis std bas;
           etas = Array.make refactor_every dummy_eta;
@@ -871,7 +862,8 @@ exception Incompatible_basis
    dual simplex until primal feasible (or proven infeasible) and finish with
    a primal clean-up phase. Any structural mismatch or numerical trouble
    raises and the caller falls back to a cold start. *)
-let solve_warm ~key ~max_iterations (p : Problem.t) std (bz : basis) =
+let solve_warm ~dense_lu ~key ~max_iterations (p : Problem.t) std
+    (bz : basis) =
   if bz.bas_key <> key || bz.bas_m <> std.m
      || Array.length bz.bas_stat <> std.n_cols
   then raise Incompatible_basis;
@@ -898,7 +890,7 @@ let solve_warm ~key ~max_iterations (p : Problem.t) std (bz : basis) =
   if !basic_count <> m then raise Incompatible_basis;
   Obs.Metrics.incr c_refactor;
   let rep =
-    if dense_lu_requested () then begin
+    if dense_lu then begin
       let lu = dense_factor_basis std bas in
       Obs.Metrics.add c_lu_flops lu.Lu.flops;
       Dense
@@ -940,52 +932,38 @@ let solve_warm ~key ~max_iterations (p : Problem.t) std (bz : basis) =
           canonicalize_xb st;
           (extract p st, Some (capture key st)))
 
-let dense_requested () =
-  match Sys.getenv_opt "VMALLOC_DENSE_LP" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let convert_dense = function
-  | Dense_simplex.Optimal { Dense_simplex.objective; x } ->
-      Optimal { objective; x }
-  | Dense_simplex.Infeasible -> Infeasible
-  | Dense_simplex.Unbounded -> Unbounded
-
-let solve_basis ?max_iterations ?warm_basis (p : Problem.t) =
-  if dense_requested () then
-    (convert_dense (Dense_simplex.solve ?max_iterations p), None)
-  else begin
-    let std = build p in
-    let key = layout_key p in
-    let max_iterations =
-      match max_iterations with
-      | Some k -> k
-      | None -> default_iterations std
-    in
-    let cold () =
-      match solve_cold ~key ~max_iterations p std with
+let solve_basis ?max_iterations ?warm_basis ?(dense_lu = false)
+    (p : Problem.t) =
+  let std = build p in
+  let key = layout_key p in
+  let max_iterations =
+    match max_iterations with
+    | Some k -> k
+    | None -> default_iterations std
+  in
+  let cold () =
+    match solve_cold ~dense_lu ~key ~max_iterations p std with
+    | result -> result
+    | exception Iteration_limit ->
+        failwith "Lp.Simplex: iteration limit exceeded"
+    | exception (Lu.Singular | Sparse_lu.Singular) ->
+        failwith "Lp.Simplex: numerically singular basis"
+  in
+  match warm_basis with
+  | None -> cold ()
+  | Some bz -> (
+      match solve_warm ~dense_lu ~key ~max_iterations p std bz with
       | result -> result
-      | exception Iteration_limit ->
-          failwith "Lp.Simplex: iteration limit exceeded"
-      | exception (Lu.Singular | Sparse_lu.Singular) ->
-          failwith "Lp.Simplex: numerically singular basis"
-    in
-    match warm_basis with
-    | None -> cold ()
-    | Some bz -> (
-        match solve_warm ~key ~max_iterations p std bz with
-        | result -> result
-        | exception
-            (Incompatible_basis | Iteration_limit | Lu.Singular
-            | Sparse_lu.Singular) ->
-            (* The warm path never widens artificial bounds, so a cold
-               start on the same [std] is safe after any warm failure.
-               Counted: a nonzero [simplex.warm_fallbacks] on a probe
-               sequence means warm starts are silently degrading to cold
-               solves. *)
-            Obs.Metrics.incr c_warm_fallbacks;
-            cold ())
-  end
+      | exception
+          (Incompatible_basis | Iteration_limit | Lu.Singular
+          | Sparse_lu.Singular) ->
+          (* The warm path never widens artificial bounds, so a cold
+             start on the same [std] is safe after any warm failure.
+             Counted: a nonzero [simplex.warm_fallbacks] on a probe
+             sequence means warm starts are silently degrading to cold
+             solves. *)
+          Obs.Metrics.incr c_warm_fallbacks;
+          cold ())
 
-let solve ?max_iterations ?warm_basis (p : Problem.t) =
-  fst (solve_basis ?max_iterations ?warm_basis p)
+let solve ?max_iterations ?warm_basis ?dense_lu (p : Problem.t) =
+  fst (solve_basis ?max_iterations ?warm_basis ?dense_lu p)

@@ -37,13 +37,12 @@
       suites assert it stays 0), so warm starts can change pivot counts
       but never verdicts beyond the solver's tolerances.
 
-    Two environment escape hatches, each also a CI leg:
-    [VMALLOC_DENSE_LP=1] routes every solve through {!Dense_simplex}
-    (ignoring [?warm_basis]) — the whole-solver differential oracle; and
-    [VMALLOC_DENSE_LU=1] keeps the revised method but maintains the basis
-    with the original dense LU + raw eta file refactorized every 64
-    pivots — the factorization-level oracle the bit-identity tests
-    compare against. See DESIGN.md §12 and §15. *)
+    Two references check this solver, neither reachable from the default
+    path: {!Dense_simplex.solve} is the whole-solver differential oracle,
+    called directly by the tests; and [~dense_lu:true] keeps the revised
+    method but maintains the basis with the original dense LU + raw eta
+    file refactorized every 64 pivots — the factorization-level oracle
+    the bit-identity tests compare against. See DESIGN.md §12 and §15. *)
 
 type solution = { objective : float; x : float array }
 
@@ -56,23 +55,25 @@ type basis
     reusable across any number of later solves. *)
 
 val solve :
-  ?max_iterations:int -> ?warm_basis:basis -> Problem.t -> result
+  ?max_iterations:int -> ?warm_basis:basis -> ?dense_lu:bool -> Problem.t ->
+  result
 (** Solve the LP relaxation. [max_iterations] (default
     [max 20_000 (50 * (m + n))], per phase) bounds each simplex phase; if a
     cold solve exhausts it the solver raises [Failure] (anti-hang guard,
     never observed on the test corpus) — a warm solve falls back to cold
     first. [warm_basis] must come from a problem with the same variable
     count and constraint-relation sequence (rhs, bounds and objective may
-    differ); incompatible bases are silently ignored (cold start). *)
+    differ); incompatible bases are silently ignored (cold start).
+    [dense_lu] (default [false]) selects the dense-LU factorization
+    backend; both backends return bitwise-identical results. *)
 
 val solve_basis :
-  ?max_iterations:int -> ?warm_basis:basis -> Problem.t ->
+  ?max_iterations:int -> ?warm_basis:basis -> ?dense_lu:bool -> Problem.t ->
   result * basis option
 (** Like {!solve}, additionally returning the final basis for reuse:
     [Some b] on [Optimal] (cold or warm) and on warm-started [Infeasible]
     (the dual-feasible basis that proved infeasibility — still a good start
-    for the next probe); [None] on [Unbounded], on cold [Infeasible], and
-    always under [VMALLOC_DENSE_LP=1]. *)
+    for the next probe); [None] on [Unbounded] and on cold [Infeasible]. *)
 
 val feasibility_tol : float
 (** Tolerance used to declare phase-1 success, accept primal feasibility in

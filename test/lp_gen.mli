@@ -37,7 +37,7 @@ val generate_milp :
   ?density:float -> seed:int -> n_vars:int -> n_cons:int -> unit -> Lp.Problem.t
 (** Random bounded MILP, feasible by construction (integral witness, all
     variables integer with upper bounds in {1,2}) — small enough for the
-    dense-oracle branch-and-bound cross-check. *)
+    exhaustive-enumeration branch-and-bound cross-check. *)
 
 val to_bytes : Lp.Problem.t -> string
 (** Canonical lossless serialization (hex floats): two problems are equal

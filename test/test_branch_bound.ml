@@ -1,6 +1,6 @@
-(* Branch-and-bound coverage: MILP optima cross-checked between the
-   revised-simplex-backed search and the dense-oracle leg, plus unit tests
-   for the search-shape counters (nodes / infeasible / pruned). *)
+(* Branch-and-bound coverage: MILP optima cross-checked against exhaustive
+   enumeration of the integer points, plus unit tests for the search-shape
+   counters (nodes / infeasible / pruned). *)
 
 let c = Lp.Problem.c
 
@@ -19,40 +19,73 @@ let with_metrics f =
   let snap = Obs.Metrics.snapshot () in
   (result, fun name -> Obs.Metrics.Snapshot.counter_value snap name)
 
-let with_dense_env f =
-  let prev = Sys.getenv_opt "VMALLOC_DENSE_LP" in
-  Unix.putenv "VMALLOC_DENSE_LP" "1";
-  Fun.protect ~finally:(fun () ->
-      Unix.putenv "VMALLOC_DENSE_LP" (Option.value prev ~default:"0"))
-    f
+(* Brute-force optimum of a bounded all-integer MILP: walk every integer
+   point of the bounding box, keep the best feasible objective. Independent
+   of both LP solvers and of the branch-and-bound logic. *)
+let enumerate_optimum (p : Lp.Problem.t) =
+  let n = p.Lp.Problem.n_vars in
+  let x = Array.make n 0. in
+  let best = ref None in
+  let better v =
+    match (!best, p.Lp.Problem.sense) with
+    | None, _ -> true
+    | Some b, Lp.Problem.Maximize -> v > b
+    | Some b, Lp.Problem.Minimize -> v < b
+  in
+  let rec walk v =
+    if v = n then begin
+      if Lp.Problem.is_feasible ~tol:Lp.Simplex.feasibility_tol p x then
+        let obj = Lp.Problem.objective_value p x in
+        if better obj then best := Some obj
+    end
+    else begin
+      let k = ref p.Lp.Problem.lower.(v) in
+      while !k <= p.Lp.Problem.upper.(v) do
+        x.(v) <- !k;
+        walk (v + 1);
+        k := !k +. 1.
+      done
+    end
+  in
+  walk 0;
+  !best
 
-(* Property: on random feasible bounded MILPs, the optimum found with the
-   revised LP solver equals the optimum found with the dense oracle. The
-   instances are feasible by construction (integral witness), so both
-   searches must return [Optimal]. *)
+(* Property: on random feasible bounded MILPs (every variable integer with
+   upper bound 1 or 2, so at most 3^5 points), branch-and-bound returns a
+   feasible integer point whose objective is the enumerated optimum. The
+   fourth generated row is an equality over random coefficients, which
+   usually only the witness satisfies, so the 3-row shape (inequalities
+   only) is where the search has many feasible points to choose from. *)
 
 let test_milp_optima_match_oracle () =
   List.iter
-    (fun seed ->
-      let p = Lp_gen.generate_milp ~seed ~n_vars:5 ~n_cons:5 () in
-      let ctx = Printf.sprintf "milp seed=%d" seed in
-      let solve () =
-        match Lp.Branch_bound.solve p with
-        | Lp.Branch_bound.Optimal s -> s.objective
-        | Lp.Branch_bound.Infeasible ->
-            Alcotest.fail (ctx ^ ": constructed-feasible MILP reported infeasible")
-        | Lp.Branch_bound.Unbounded ->
-            Alcotest.fail (ctx ^ ": bounded MILP reported unbounded")
-        | Lp.Branch_bound.Node_limit _ ->
-            Alcotest.fail (ctx ^ ": unexpected node limit")
+    (fun (seed, n_cons) ->
+      let p = Lp_gen.generate_milp ~seed ~n_vars:5 ~n_cons () in
+      let ctx = Printf.sprintf "milp seed=%d cons=%d" seed n_cons in
+      let expected =
+        match enumerate_optimum p with
+        | Some v -> v
+        | None -> Alcotest.fail (ctx ^ ": enumeration found no feasible point")
       in
-      let revised = solve () in
-      let dense = with_dense_env solve in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: revised %.9f = dense %.9f" ctx revised dense)
-        true
-        (Float.abs (revised -. dense) <= 1e-6 *. (1. +. Float.abs dense)))
-    [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+      match Lp.Branch_bound.solve p with
+      | Lp.Branch_bound.Optimal s ->
+          Alcotest.(check bool) (ctx ^ ": B&B point is feasible and integral")
+            true (Lp.Problem.is_feasible p s.x);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: B&B %.9f = enumerated %.9f" ctx s.objective
+               expected)
+            true
+            (Float.abs (s.objective -. expected)
+            <= 1e-6 *. (1. +. Float.abs expected))
+      | Lp.Branch_bound.Infeasible ->
+          Alcotest.fail (ctx ^ ": constructed-feasible MILP reported infeasible")
+      | Lp.Branch_bound.Unbounded ->
+          Alcotest.fail (ctx ^ ": bounded MILP reported unbounded")
+      | Lp.Branch_bound.Node_limit _ ->
+          Alcotest.fail (ctx ^ ": unexpected node limit"))
+    (List.concat_map
+       (fun seed -> [ (seed, 5); (seed, 3) ])
+       [ 0; 1; 2; 3; 4; 5; 6; 7 ])
 
 (* Infeasible-node accounting: x integer in [0,1] squeezed into [0.4, 0.6].
    The root relaxation is feasible (x = 0.5) but both children's LPs are
@@ -96,31 +129,23 @@ let test_incumbent_pruning () =
     (v "branch_bound.pruned_nodes" >= 1)
 
 (* Warm-start plumbing: a branchy MILP solved with metrics on must record
-   warm starts (children re-optimize from the parent basis) unless the
-   dense leg is active, where warm starts are ignored by design. *)
+   warm starts (children re-optimize from the parent basis). *)
 
 let test_bb_warm_starts_recorded () =
-  let dense_on =
-    match Sys.getenv_opt "VMALLOC_DENSE_LP" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false
-  in
-  if not dense_on then begin
-    let p = Lp_gen.generate_milp ~seed:3 ~n_vars:6 ~n_cons:5 () in
-    let result, v = with_metrics (fun () -> Lp.Branch_bound.solve p) in
-    (match result with
-    | Lp.Branch_bound.Optimal _ -> ()
-    | _ -> Alcotest.fail "constructed-feasible MILP must be optimal");
-    if v "branch_bound.nodes" > 1 then
-      Alcotest.(check bool) "warm starts recorded" true
-        (v "simplex.warm_starts" > 0)
-  end
+  let p = Lp_gen.generate_milp ~seed:3 ~n_vars:6 ~n_cons:5 () in
+  let result, v = with_metrics (fun () -> Lp.Branch_bound.solve p) in
+  (match result with
+  | Lp.Branch_bound.Optimal _ -> ()
+  | _ -> Alcotest.fail "constructed-feasible MILP must be optimal");
+  if v "branch_bound.nodes" > 1 then
+    Alcotest.(check bool) "warm starts recorded" true
+      (v "simplex.warm_starts" > 0)
 
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
-      ("MILP optima match dense oracle", test_milp_optima_match_oracle);
+      ("MILP optima match enumeration", test_milp_optima_match_oracle);
       ("infeasible-node accounting", test_infeasible_node_pruning);
       ("incumbent pruning", test_incumbent_pruning);
       ("warm starts recorded", test_bb_warm_starts_recorded);

@@ -311,9 +311,9 @@ let test_stream_assignment_unchanged () =
 
    Merged counts, the yield-log digest, and the simulator.* counters of a
    4-shard run are pinned at domain counts 1, 2, and 4. Only simulator.*
-   counters are pinned: they are invariant across the CI matrix legs
-   (VMALLOC_NO_PROBE_CACHE / VMALLOC_DENSE_LP perturb solver-internal
-   counters, never the event loop's). *)
+   counters are pinned: they count the event loop's work alone, so they
+   hold on every CI leg (VMALLOC_OBS, VMALLOC_DOMAINS) and survive
+   solver-internal changes. *)
 let samples_digest samples =
   List.fold_left
     (fun acc (t, y) ->
