@@ -107,12 +107,11 @@ let kernel_runs : kernel_run list ref = ref []
 
 (* Multi-tenant batched solving vs back-to-back serial solves (batch
    section, DESIGN.md §16): N concurrent yield searches multiplexed over
-   one scheduler pool. Round counts and result identity are deterministic
-   (stdout); wall times, speculative waste and scratch reuses vary with
-   the host / domain scheduling and go to stderr and the batch block of
-   BENCH_par.json. The CI-gated headline is the round ratio — serial
-   binary-search rounds per interleaved scheduler round — not wall
-   clock. *)
+   one scheduler pool. Round counts and result identity print to stdout;
+   speculative waste (deterministic too) and wall times (host-dependent)
+   go to stderr and the batch block of BENCH_par.json. The CI-gated
+   headline is the round ratio — serial binary-search rounds per
+   interleaved scheduler round — not wall clock. *)
 type batch_run = {
   b_tenants : int;
   b_domains : int;
@@ -121,7 +120,6 @@ type batch_run = {
   b_serial_rounds : int;
   b_sched_rounds : int;
   b_waste : int;
-  b_scratch_reuses : int;
   b_identical : bool;
 }
 
@@ -258,13 +256,13 @@ let write_bench_par_json ~scale_label ~total path =
          \"batched_seconds\": %.4f, \"throughput_speedup\": %.2f, \
          \"serial_rounds\": %d, \"rounds_interleaved\": %d, \
          \"round_speedup\": %.2f, \"speculative_waste\": %d, \
-         \"scratch_reuses\": %d, \"identical\": %b}%s\n"
+         \"identical\": %b}%s\n"
         b.b_tenants b.b_domains b.b_serial_s b.b_batched_s
         (if b.b_batched_s > 0. then b.b_serial_s /. b.b_batched_s else 0.)
         b.b_serial_rounds b.b_sched_rounds
         (float_of_int b.b_serial_rounds
         /. float_of_int (max 1 b.b_sched_rounds))
-        b.b_waste b.b_scratch_reuses b.b_identical
+        b.b_waste b.b_identical
         (if i < List.length bs - 1 then "," else ""))
     bs;
   out "  ],\n";
@@ -629,8 +627,7 @@ let run_kernel () =
   Stats.Table.print table
 
 (* Multi-tenant batch workload: same-shape tenants (hosts x services
-   fixed — shape equality is what lets a completed job's retired kernels
-   rebind to later probes) with varying slack and rep. *)
+   fixed) with varying slack and rep. *)
 let batch_jobs ~tenants =
   let slacks = [| 0.3; 0.4; 0.5 |] in
   Array.init tenants (fun i ->
@@ -660,10 +657,9 @@ let results_identical a b =
 
 (* One (tenants, domains) point: the serial arm is passed in (it is
    shared across the pool sizes); the batched arm runs [reps] passes over
-   one pool so pass 2 rebinds the kernels pass 1 retired
-   (scheduler.scratch_reuses). Counters come from pass 1 alone — one
-   deterministic batch execution — except reuses, summed over all
-   passes. *)
+   one scheduler, keeping the best wall time and checking every pass
+   returns the same results. Counters come from pass 1 alone — one
+   deterministic batch execution. *)
 let batch_measure ~tenants ~domains ~reps
     ~serial:(serial_results, b_serial_s, b_serial_rounds) jobs =
   let time f =
@@ -677,8 +673,7 @@ let batch_measure ~tenants ~domains ~reps
       Obs.Metrics.reset ();
       Obs.Metrics.set_enabled was_enabled)
   @@ fun () ->
-  let first, b_batched_s, b_sched_rounds, b_waste, b_scratch_reuses,
-      passes_identical =
+  let first, b_batched_s, b_sched_rounds, b_waste, passes_identical =
     Par.Pool.with_pool ~domains @@ fun pool ->
     let sched = Par.Scheduler.create ~pool in
     let pass () =
@@ -692,18 +687,14 @@ let batch_measure ~tenants ~domains ~reps
     let first, dt1, snap1 = pass () in
     let v = Obs.Metrics.Snapshot.counter_value snap1 in
     let best = ref dt1 in
-    let reuses = ref (v "scheduler.scratch_reuses") in
     let identical = ref true in
     for _ = 2 to reps do
-      let r, dt, snap = pass () in
+      let r, dt, _ = pass () in
       if not (results_identical r first) then identical := false;
-      if dt < !best then best := dt;
-      reuses :=
-        !reuses
-        + Obs.Metrics.Snapshot.counter_value snap "scheduler.scratch_reuses"
+      if dt < !best then best := dt
     done;
     ( first, !best, v "scheduler.rounds_interleaved",
-      v "binary_search.speculative_waste", !reuses, !identical )
+      v "binary_search.speculative_waste", !identical )
   in
   let r =
     {
@@ -714,15 +705,13 @@ let batch_measure ~tenants ~domains ~reps
       b_serial_rounds;
       b_sched_rounds;
       b_waste;
-      b_scratch_reuses;
       b_identical = passes_identical && results_identical first serial_results;
     }
   in
   batch_runs := r :: !batch_runs;
   Printf.eprintf
-    "[bench] batch t=%d d=%d: serial %.2fs  batched %.2fs  waste %d  \
-     reuses %d\n%!"
-    tenants domains b_serial_s b_batched_s b_waste b_scratch_reuses;
+    "[bench] batch t=%d d=%d: serial %.2fs  batched %.2fs  waste %d\n%!"
+    tenants domains b_serial_s b_batched_s b_waste;
   r
 
 (* The serial arm: the same jobs solved back-to-back, counting the yield

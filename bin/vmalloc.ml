@@ -305,13 +305,13 @@ let load_batch_jobs ~defaults ~default_algo path =
   in
   go 1 []
 
-let run_batch ~jobs ~domains ~depth =
+let run_batch ~jobs ~domains =
   let jobs = Array.of_list jobs in
   let t0 = Unix.gettimeofday () in
   let results =
     Par.Pool.with_pool ~domains (fun pool ->
         let sched = Par.Scheduler.create ~pool in
-        Heuristics.Batch.solve_batch ?depth ~sched jobs)
+        Heuristics.Batch.solve_batch ~sched jobs)
   in
   let dt = Unix.gettimeofday () -. t0 in
   Array.iteri
@@ -344,13 +344,6 @@ let solve_cmd =
                    pool; results print in line order and are bit-identical \
                    to solving each line separately.")
   in
-  let depth =
-    Arg.(value & opt (some int) None
-         & info [ "depth" ] ~docv:"M"
-             ~doc:"With --batch: force the speculation depth of every \
-                   yield-search round instead of the adaptive cost-model \
-                   choice (results are bit-identical at any value).")
-  in
   let domains =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N"
@@ -367,7 +360,7 @@ let solve_cmd =
                    chrome://tracing or Perfetto).")
   in
   let run file opts algo_name verbose domains stats trace trace_folded
-      stats_out batch depth =
+      stats_out batch =
     match check_domains domains with
     | Error e -> `Error (false, e)
     | Ok domains -> (
@@ -425,7 +418,7 @@ let solve_cmd =
                       `Error
                         (false, Printf.sprintf "%s: no jobs" batch_file)
                   | Ok jobs ->
-                      run_batch ~jobs ~domains ~depth;
+                      run_batch ~jobs ~domains;
                       finish ())
             | None -> (
                 match load_or_generate file opts with
@@ -472,7 +465,7 @@ let solve_cmd =
              --trace-folded observe the run).")
     Term.(ret (const run $ instance_file_term $ gen_opts_term $ algo_term
                $ verbose $ domains $ stats_term $ trace $ trace_folded_term
-               $ stats_out_term $ batch $ depth))
+               $ stats_out_term $ batch))
 
 (* compare *)
 

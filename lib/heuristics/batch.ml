@@ -5,29 +5,22 @@
    A [Yield_search] job becomes a stepped request around a
    [Binary_search.plan]: each scheduler round it contributes its current
    probe batch as tasks (thunks writing verdicts into a request-local
-   buffer), and on completion retires its kernel token so the per-domain
-   scratch pools can rebind the kernels to later jobs. A [Direct] job
-   contributes a single one-shot task running the whole solve. Both are
-   pure functions of their own results, so the batched run is
-   bit-identical to solving the jobs back-to-back sequentially —
-   whatever the pool size, interleaving, or speculation depth. *)
+   buffer), and on completion retires its oracle, dropping the probe
+   scratch it owns. A [Direct] job contributes a single one-shot task
+   running the whole solve. Both are pure functions of their own results,
+   so the batched run is bit-identical to solving the jobs back-to-back
+   sequentially — whatever the pool size, interleaving, or speculation
+   depth. *)
 
 type job = { algo : Algorithms.t; instance : Model.Instance.t }
 
-let yield_search_request ?tolerance ?depth ~sched ~strategies ~instance
+let yield_search_request ?tolerance ~sched ~strategies ~instance
     ~(out : Vp_solver.solution option -> unit) () =
   let oracle, retire = Vp_solver.batch_oracle strategies instance in
   let pool_size = Par.Pool.size (Par.Scheduler.pool sched) in
-  let depth_fn =
-    match depth with
-    | Some m ->
-        let m = max 1 m in
-        fun ~remaining:_ -> m
-    | None ->
-        fun ~remaining ->
-          Binary_search.adaptive_depth ~pool_size
-            ~occupancy:(Par.Scheduler.occupancy sched)
-            ~remaining
+  let depth_fn ~remaining:_ =
+    Binary_search.depth_for ~pool_size
+      ~occupancy:(Par.Scheduler.occupancy sched)
   in
   let plan = Binary_search.plan ?tolerance ~depth:depth_fn () in
   let pending = ref [||] in
@@ -61,7 +54,7 @@ let direct_request ~(algo : Algorithms.t) ~instance
       Some [| (fun () -> out (algo.Algorithms.solve instance)) |]
     end
 
-let solve_batch ?tolerance ?depth ~sched jobs =
+let solve_batch ?tolerance ~sched jobs =
   let n = Array.length jobs in
   let results = Array.make n None in
   let requests =
@@ -70,8 +63,8 @@ let solve_batch ?tolerance ?depth ~sched jobs =
         let out r = results.(i) <- r in
         match algo.Algorithms.kind with
         | Algorithms.Yield_search strategies ->
-            yield_search_request ?tolerance ?depth ~sched ~strategies
-              ~instance ~out ()
+            yield_search_request ?tolerance ~sched ~strategies ~instance
+              ~out ()
         | Algorithms.Direct -> direct_request ~algo ~instance ~out ())
       jobs
   in

@@ -17,8 +17,8 @@ let c_probes = Obs.Metrics.counter "binary_search.probes"
 let c_waste = Obs.Metrics.counter "binary_search.speculative_waste"
 
 (* Speculation depth actually used per bisect round (after the remaining-
-   levels cap and the adaptive policy), so the chosen depths are
-   observable next to the waste they produce. *)
+   levels cap), so the chosen depths are observable next to the waste
+   they produce. *)
 let h_depth = Obs.Metrics.histogram "binary_search.depth"
 
 let announce on_round points =
@@ -84,36 +84,14 @@ let levels_needed ~tolerance ~lo ~hi =
   done;
   max 1 !r
 
-(* Measured cost model for the adaptive speculation depth. Inputs: the
-   per-request pool share (pool size over scheduler occupancy) and the
-   EWMA per-probe cost lib/obs records from every executed pool round.
-   Depth m costs ceil((2^m - 1) / share) waves of probe work plus one
-   round of fixed dispatch overhead and resolves m bisection levels, so
-   pick the m with the best levels-per-second rate. The choice only sizes
-   the precomputed fan — never which points get probed — so feeding a
-   wall-clock estimate into it cannot break bit-identity. With probe
-   costs far above the overhead (every real packing oracle) the argmax is
-   independent of the estimate's exact value, so round counts stay stable
-   run to run. *)
-let round_overhead_ns = 25_000.
-
-let adaptive_depth ~pool_size ~occupancy ~remaining =
-  let share = max 1 (pool_size / max 1 occupancy) in
-  let base = levels_for ~pool_size:share in
-  let cap = max 1 remaining in
-  match Obs.Cost.estimate_ns () with
-  | None -> min base cap
-  | Some c ->
-      let rate m =
-        let probes = (1 lsl m) - 1 in
-        let waves = (probes + share - 1) / share in
-        float_of_int m /. ((float_of_int waves *. c) +. round_overhead_ns)
-      in
-      let best = ref 1 in
-      for m = 2 to base do
-        if rate m > rate !best then best := m
-      done;
-      min !best cap
+(* The speculation-depth rule of every pooled driver: with [occupancy]
+   live searches sharing a [pool_size]-domain pool, each search's fair
+   share is [pool_size / occupancy] domains (at least 1), and one round
+   resolves as many bisection levels as that share can probe at once. A
+   pure function of pool size and live-request count, so round counts are
+   deterministic at every combination. *)
+let depth_for ~pool_size ~occupancy =
+  levels_for ~pool_size:(max 1 (pool_size / max 1 occupancy))
 
 (* Steppable speculative search — the one state machine behind both
    [maximize_par] (one request, one pool) and [Par.Scheduler] batching
@@ -236,27 +214,12 @@ let plan_result p = p.p_best
 
 let plan_finished p = p.p_stage = Finished
 
-let maximize_par ?tolerance ?on_round ?depth ~pool oracle =
-  let k = Par.Pool.size pool in
-  let depth_fn =
-    match depth with
-    | Some m ->
-        let m = max 1 m in
-        fun ~remaining:_ -> m
-    | None ->
-        let m = levels_for ~pool_size:k in
-        fun ~remaining:_ -> m
-  in
-  let p = plan ?tolerance ?on_round ~depth:depth_fn () in
+let maximize_par ?tolerance ?on_round ~pool oracle =
+  let m = depth_for ~pool_size:(Par.Pool.size pool) ~occupancy:1 in
+  let p = plan ?tolerance ?on_round ~depth:(fun ~remaining:_ -> m) () in
   let rec drive prev =
     match plan_next p ~prev with
     | None -> plan_result p
-    | Some points ->
-        let t0 = Obs.Cost.now_ns () in
-        let results = Par.Pool.map pool points oracle in
-        Obs.Cost.observe
-          ~tasks:(Array.length points)
-          ~elapsed_ns:(Obs.Cost.now_ns () -. t0);
-        drive results
+    | Some points -> drive (Par.Pool.map pool points oracle)
   in
   drive [||]

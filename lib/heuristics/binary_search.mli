@@ -16,9 +16,9 @@
     bisection tree is exactly that, trading wasted off-path probes (on
     otherwise idle domains) for several bracket levels per round. The
     speculation {e depth} — how many future levels one round precomputes —
-    only sizes the fan, never the on-path points, so it is a free parameter:
-    fixed at ⌈log₂(k+1)⌉ by default, forceable per call, or chosen by the
-    measured cost model ({!adaptive_depth}) under the batched scheduler.
+    only sizes the fan, never the on-path points, so it is a free parameter
+    of the search; the pooled drivers all take it from {!depth_for}, a pure
+    function of pool size and live-request count.
 
     {!plan} exposes the same search as a steppable state machine so
     {!Par.Scheduler} can interleave many searches' rounds; {!maximize_par}
@@ -60,17 +60,15 @@ val levels_for : pool_size:int -> int
 (** ⌈log₂(k+1)⌉ (at least 1): the bisection levels one k-domain round can
     resolve — the default speculation depth. *)
 
-val adaptive_depth : pool_size:int -> occupancy:int -> remaining:int -> int
-(** Cost-model speculation depth (DESIGN.md §16): with [occupancy] live
-    requests sharing a [pool_size]-domain pool, a request's fair share is
-    [pool_size / occupancy] slots; depth [m] then costs
-    [ceil((2^m - 1) / share)] waves of probe work (at the per-probe cost
-    {!Obs.Cost} measured from previous rounds) plus one round's dispatch
-    overhead, and resolves [m] levels — the depth with the best
-    levels-per-second rate wins, clamped to [\[1, remaining\]]. Before the
-    first cost sample it falls back to [levels_for share]. Depth never
-    affects which points are probed, only how many are precomputed, so
-    any choice preserves bit-identity. *)
+val depth_for : pool_size:int -> occupancy:int -> int
+(** The speculation depth of the pooled drivers (DESIGN.md §16):
+    [levels_for ~pool_size:(max 1 (pool_size / occupancy))]. With
+    [occupancy] live searches sharing a [pool_size]-domain pool, each
+    search's fair share is [pool_size / occupancy] domains, and one round
+    resolves as many levels as that share can probe at once.
+    {!maximize_par} uses [~occupancy:1]; {!Batch} the scheduler's live
+    count. Depth never affects which points are probed, only how many are
+    precomputed, so the rule moves round counts, never results. *)
 
 type 'a plan
 (** A steppable speculative yield search over oracles of type
@@ -111,7 +109,6 @@ val plan_finished : 'a plan -> bool
 val maximize_par :
   ?tolerance:float ->
   ?on_round:(float array -> unit) ->
-  ?depth:int ->
   pool:Par.Pool.t ->
   (float -> 'a option) ->
   ('a * float) option
@@ -120,10 +117,11 @@ val maximize_par :
     fans the candidate yields of the next [m] bisection levels over the
     pool ({!Par.Pool.map}) and walks the sequential probe path through the
     precomputed results, so the bracket shrinks by [2^m] per round instead
-    of 2. [m] defaults to [levels_for ~pool_size] and is capped by the
-    levels actually remaining; [?depth] forces it (clamped below at 1) —
-    any value yields the same result, only round counts and speculative
-    waste change, which the forced-depth differential sweep locks.
+    of 2. [m] is [depth_for ~pool_size ~occupancy:1] (= [levels_for
+    ~pool_size]), capped by the levels actually remaining. Drive {!plan}
+    directly for any other depth policy — every depth yields the same
+    result, only round counts and speculative waste change, which the
+    forced-depth differential sweep locks.
     Identity holds for any {e pure} oracle — candidate points are computed
     with the sequential midpoint arithmetic, branch decisions replay the
     sequential ones, and off-path speculative results are discarded.
@@ -132,5 +130,4 @@ val maximize_par :
     re-raised after the round's in-flight probes finish and the pool
     remains usable. A pool of size 1 degenerates to the sequential probe
     sequence exactly. [on_round] is called once per round with the round's
-    candidate yields. Every executed round feeds the {!Obs.Cost} model
-    {!adaptive_depth} reads. *)
+    candidate yields. *)

@@ -74,9 +74,7 @@ let probe ~packer strategies y =
    scratch-backed Permutation-Pack selection compares the same keys with
    the same tie-breaks. Locked down by test_kernel_diff.ml. *)
 type kernel = {
-  mutable k_instance : Model.Instance.t;
-      (* mutable: scratch-pool rebinding re-points a retired solve's
-         kernel at the next solve's instance *)
+  k_instance : Model.Instance.t;
   k_items : Packing.Item.t array;
   k_bins : Packing.Bin.t array;
   k_cache : Packing.Strategy.cache;
@@ -112,148 +110,48 @@ let refill k yld =
     k.k_yield <- yld
   end
 
-(* Per-domain kernel scratch pools (DESIGN.md §16). The speculative probe
-   search evaluates one solve's probes on several domains at once, so the
-   scratch must be domain-local; under the batched scheduler many
-   concurrent solves (tokens) additionally interleave on every domain, so
-   each domain keeps a small token-keyed working set instead of PR 5's
-   single latest-solve slot — and a free list of kernels whose solves
-   have retired, to be *rebound* to the next same-shaped solve instead of
-   allocated afresh. Results are domain-count independent — every kernel,
-   fresh or rebound, computes the same bits (rebinding restores exactly
-   the freshly-made state: [Bin.rebind] bins, [Strategy.cache_reset]
-   memos, no held yield) — only the reuse/memo *hit* counters can vary
-   with probe-task placement, like [binary_search.speculative_waste]
-   already does. *)
-type kernel_pool = {
-  mutable entries : (int * kernel) list;  (* most recent solve first *)
-  mutable free : kernel list;  (* retired kernels awaiting rebinding *)
-}
-
-(* Working-set bound per domain: above the live-token count of any sane
-   batch, so eviction is a memory backstop for long-lived processes that
-   never retire tokens (standalone solves), not a churn mechanism —
-   keeping it comfortably above the trial counts of the byte-identity
-   tests also keeps eviction (whose count depends on task placement) out
-   of their snapshots. *)
-let entries_cap = 64
-let free_cap = 32
-
-let kernel_pools : kernel_pool Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { entries = []; free = [] })
-
-let solve_tokens = Atomic.make 0
-
-(* Retired solve tokens, published by the batched driver when a request
-   completes. Domains cannot reach into each other's domain-local pools,
-   so retirement is a shared mark that every domain applies lazily (on
-   its next kernel miss), moving dead entries to its free list. Bounded:
-   a full table is dropped wholesale — losing pending marks only delays
-   reuse until the entries cap evicts, it never affects results. *)
-let retired : (int, unit) Hashtbl.t = Hashtbl.create 64
-let retired_mutex = Mutex.create ()
-let retired_cap = 8192
-
-let retire_token token =
-  Mutex.lock retired_mutex;
-  if Hashtbl.length retired >= retired_cap then Hashtbl.reset retired;
-  Hashtbl.replace retired token ();
-  Mutex.unlock retired_mutex
-
-let sweep_retired pool =
-  if pool.entries <> [] then begin
-    Mutex.lock retired_mutex;
-    let dead, live =
-      List.partition (fun (t, _) -> Hashtbl.mem retired t) pool.entries
-    in
-    Mutex.unlock retired_mutex;
-    if dead <> [] then begin
-      pool.entries <- live;
-      List.iter
-        (fun (_, k) ->
-          if List.length pool.free < free_cap then pool.free <- k :: pool.free)
-        dead
-    end
-  end
-
-let c_scratch = Obs.Metrics.counter "scheduler.scratch_reuses"
-
-let shape_matches k instance =
-  Array.length k.k_items = Model.Instance.n_services instance
-  && Array.length k.k_bins = Model.Instance.n_nodes instance
-  && (Array.length k.k_bins = 0
-     || Packing.Bin.dim k.k_bins.(0) = instance.Model.Instance.dims)
-
-(* Restore a recycled kernel to exactly the state [make_kernel] would
-   build for [instance]: re-point the bins at the new nodes' capacities,
-   drop every sort/permutation memo (the bin memos alias the old bins),
-   and forget the held yield so the first probe refills the item demands
-   from the new instance's buffers. *)
-let rebind_kernel k instance =
-  k.k_instance <- instance;
-  Array.iteri
-    (fun h (b : Packing.Bin.t) ->
-      Packing.Bin.rebind b
-        ~capacity:(Model.Instance.node instance h).Model.Node.capacity)
-    k.k_bins;
-  Packing.Strategy.cache_reset k.k_cache;
-  k.k_yield <- Float.nan
-
-let take_free pool instance =
-  let rec go acc = function
-    | [] -> None
-    | k :: rest when shape_matches k instance ->
-        pool.free <- List.rev_append acc rest;
-        Some k
-    | k :: rest -> go (k :: acc) rest
-  in
-  go [] pool.free
-
-let evict_oldest pool =
-  match List.rev pool.entries with
-  | [] -> ()
-  | (_, k) :: rev_rest ->
-      pool.entries <- List.rev rev_rest;
-      if List.length pool.free < free_cap then pool.free <- k :: pool.free
-
-let kernel_for ~token instance =
-  let pool = Domain.DLS.get kernel_pools in
-  match List.assoc_opt token pool.entries with
-  | Some k -> k
-  | None ->
-      sweep_retired pool;
-      if List.length pool.entries >= entries_cap then evict_oldest pool;
-      let k =
-        match take_free pool instance with
-        | Some k ->
-            rebind_kernel k instance;
-            Obs.Metrics.incr c_scratch;
-            k
-        | None -> make_kernel instance
-      in
-      pool.entries <- (token, k) :: pool.entries;
-      k
-
 let attempt_kernel k strategy =
   Array.iter Packing.Bin.reset k.k_bins;
   Packing.Strategy.run ~cache:k.k_cache strategy ~bins:k.k_bins
     ~items:k.k_items
 
+(* Solve-owned kernel scratch (DESIGN.md §11, §16). The speculative
+   search runs one solve's probes on several domains at once, so each
+   domain that runs a probe of this solve gets its own kernel, built on
+   its first probe. Only the owning domain ever pushes its entry, so the
+   CAS retry loop never races two kernels for one domain; readers see
+   either the list without their entry (and push one) or with it. The
+   kernels die with the oracle closure — nothing outlives the solve, and
+   concurrent solves never share scratch. *)
+let kernel_here kernels instance =
+  let self = Domain.self () in
+  match List.assoc_opt self (Atomic.get kernels) with
+  | Some k -> k
+  | None ->
+      let k = make_kernel instance in
+      let rec push () =
+        let seen = Atomic.get kernels in
+        if not (Atomic.compare_and_set kernels seen ((self, k) :: seen)) then
+          push ()
+      in
+      push ();
+      k
+
 (* The fixed-yield probe oracle of one solve and its retirement hook: the
    probe-shared kernel by default, the naive fresh-allocation path under
    [~kernel:false] — the reference the differential tests diff against.
    Handed out raw to the batched solve driver ({!Batch}), which steps a
-   {!Binary_search.plan} under {!Par.Scheduler} and retires the solve's
-   kernels into the per-domain free pools once the request completes. *)
+   {!Binary_search.plan} under {!Par.Scheduler} and retires the oracle
+   once the request completes, dropping its kernels. *)
 let batch_oracle ?(kernel = true) strategies instance =
   if kernel then begin
-    let token = Atomic.fetch_and_add solve_tokens 1 in
+    let kernels : (Domain.id * kernel) list Atomic.t = Atomic.make [] in
     let packer yld =
-      let k = kernel_for ~token instance in
+      let k = kernel_here kernels instance in
       refill k yld;
       attempt_kernel k
     in
-    (probe ~packer strategies, fun () -> retire_token token)
+    (probe ~packer strategies, fun () -> Atomic.set kernels [])
   end
   else
     (probe ~packer:(fun y s -> pack_at_yield s instance y) strategies,
@@ -268,8 +166,8 @@ let finish instance = function
   | None -> None
   | Some (placement, _probed_yield) -> evaluate instance placement
 
-(* Probe oracles are pure as observed from outside (the kernel's scratch
-   is domain-local and every domain computes identical bits; the naive
+(* Probe oracles are pure as observed from outside (each domain probes
+   through its own kernel and every kernel computes identical bits; the naive
    path allocates fresh items and bins per call), so a pool of size > 1
    can run the speculative multi-probe search and still return
    bit-identical results. *)

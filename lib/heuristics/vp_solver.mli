@@ -67,17 +67,16 @@ val batch_oracle :
   Model.Instance.t ->
   (float -> Model.Placement.t option) * (unit -> unit)
 (** The raw fixed-yield probe oracle behind {!solve} and {!solve_multi}
-    (kernel-backed unless [~kernel:false], see {!solve}) together with its retirement hook, for
-    callers that drive the yield search themselves — the batched solve
-    driver ({!Batch}) stepping a {!Binary_search.plan} under
-    {!Par.Scheduler}. Call the hook exactly once, after the last probe:
-    it releases the solve's per-domain kernel scratch into the domain
-    free pools, from which a later same-shaped solve is {e rebound}
-    instead of allocated (counted on [scheduler.scratch_reuses]);
-    rebinding restores a freshly-built kernel's state exactly, so reuse
-    never changes results. Standalone {!solve}/{!solve_multi} never
-    retire — their kernels age out of the bounded per-domain working set
-    instead — keeping their counter totals domain-count invariant. *)
+    (kernel-backed unless [~kernel:false], see {!solve}) together with its
+    retirement hook, for callers that drive the yield search themselves —
+    the batched solve driver ({!Batch}) stepping a {!Binary_search.plan}
+    under {!Par.Scheduler}. The oracle owns its probe scratch: one kernel
+    per domain that runs one of its probes, built on that domain's first
+    probe, shared with no other oracle. Calling the hook after the last
+    probe drops those kernels early; an oracle that is never retired
+    frees them when it is itself collected. Nothing is kept across
+    solves, so concurrent oracles over identically shaped instances
+    cannot disturb each other. *)
 
 val evaluate : Model.Instance.t -> Model.Placement.t -> solution option
 (** Water-fill a placement into a [solution] (shared by greedy and rounding

@@ -125,24 +125,23 @@ let collect (j : Json.t) =
             e
       | _ -> ())
     (Json.to_list (block "online"));
-  (* batch: multi-tenant scheduler round counts. [rounds_interleaved] is
-     deterministic only when tenants >= domains — occupancy then pins the
-     adaptive speculation depth to 1, so the round count is a pure
-     function of the request list. With spare pool capacity the depth
-     choice may legitimately move with the measured probe cost, so those
-     combos contribute only the ungated ratio metrics. *)
+  (* batch: multi-tenant scheduler round counts — deterministic at every
+     (tenants, domains) combo, since speculation depth is a pure function
+     of pool size and live-request count. *)
   List.iter
     (fun e ->
       match (num "tenants" e, num "domains" e) with
       | Some t, Some d ->
-          let prefix =
-            Printf.sprintf "batch.t%d.d%d" (int_of_float t) (int_of_float d)
-          in
-          add_fields prefix [ "round_speedup"; "throughput_speedup" ] e;
-          if t >= d then
-            add_fields prefix
-              [ "serial_rounds"; "rounds_interleaved"; "speculative_waste" ]
-              e
+          add_fields
+            (Printf.sprintf "batch.t%d.d%d" (int_of_float t) (int_of_float d))
+            [
+              "round_speedup";
+              "throughput_speedup";
+              "serial_rounds";
+              "rounds_interleaved";
+              "speculative_waste";
+            ]
+            e
       | _ -> ())
     (Json.to_list (block "batch"));
   (* obs: per-algorithm counter snapshots and the metrics overhead ratio *)

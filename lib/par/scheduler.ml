@@ -57,13 +57,9 @@ let run t requests =
           | Some tasks -> batches := tasks :: !batches
       done;
       let tasks = Array.concat (List.rev !batches) in
-      let n_tasks = Array.length tasks in
-      if n_tasks > 0 then begin
+      if Array.length tasks > 0 then begin
         Obs.Metrics.incr c_rounds;
-        let t0 = Obs.Cost.now_ns () in
-        ignore (Pool.map t.pool tasks (fun task -> task ()));
-        Obs.Cost.observe ~tasks:n_tasks
-          ~elapsed_ns:(Obs.Cost.now_ns () -. t0)
+        ignore (Pool.map t.pool tasks (fun task -> task ()))
       end
     done
   end

@@ -18,9 +18,8 @@
     Counters: [scheduler.requests] (requests admitted), and
     [scheduler.rounds_interleaved] (pool rounds executed — the
     deterministic unit the bench's batched-throughput gate compares
-    against the serial run's [binary_search.rounds]). Every executed
-    round also feeds the measured per-task cost model ({!Obs.Cost}) that
-    the adaptive speculation depth reads. *)
+    against the serial run's [binary_search.rounds]). The scheduler keeps
+    no state between {!run}s beyond its pool. *)
 
 type round = (unit -> unit) array
 (** One request's tasks for one global round. Each task must store its
@@ -47,7 +46,7 @@ val occupancy : t -> int
 (** Number of live requests in the currently executing {!run} round
     ([1] when idle). Sampled once per round before any request steps, so
     every request of a round observes the same value — the pool-share
-    input to {!Binary_search.adaptive_depth}. *)
+    input to [Heuristics.Binary_search.depth_for]. *)
 
 val run : t -> request array -> unit
 (** Drive all [requests] to completion. Requests are stepped in arrival

@@ -2,11 +2,12 @@
    (DESIGN.md §16): [Batch.solve_batch] must return results bit-identical
    to solving the same jobs back-to-back sequentially — same Some/None,
    same placement, same minimum yield to the last bit — at every pool
-   size and every forced speculation depth, with yield-search and direct
-   algorithms mixed in one request list. Re-running batches on one
-   scheduler also locks the per-domain kernel scratch pools: rebinding a
-   retired probe kernel to a later same-shaped job must not change any
-   result. *)
+   size (and so every speculation depth the pool share selects), with
+   yield-search and direct algorithms mixed in one request list. Each
+   solve owns its probe scratch, so re-running a batch on one scheduler
+   and running identically shaped tenants side by side must not change
+   any result; and since speculation depth is a pure function of pool
+   size and live-request count, round counts are pinned exactly. *)
 
 module Batch = Heuristics.Batch
 
@@ -79,38 +80,45 @@ let check_batch msg results =
     results
 
 let pool_sizes () =
-  (* 1 = the degenerate sequential path; 2 and 4 give the adaptive depth
-     model spare capacity to spend. The env-derived size makes the CI
-     VMALLOC_DOMAINS={1,2} matrix leg vary what this suite runs. *)
-  let env = min 4 (Par.Pool.domains_from_env ()) in
-  List.sort_uniq compare [ 1; 2; 4; env ]
+  (* 1 = the degenerate sequential path; with the 9 mixed jobs every pool
+     up to 8 runs at depth 1 until tenants finish and the per-request
+     share grows. The env-derived size makes the CI VMALLOC_DOMAINS={1,2}
+     matrix leg vary what this suite runs. *)
+  let env = min 8 (Par.Pool.domains_from_env ()) in
+  List.sort_uniq compare [ 1; 2; 4; 8; env ]
 
 (* The acceptance criterion of the batched scheduler: identical results
-   at pools 1/2/4 under the adaptive depth and every forced depth.
-   Depths share one scheduler per pool, so later batches also replay
-   over scratch pools populated (and retired) by earlier ones. *)
+   at every pool size, for the mixed batch and for every yield-search job
+   as a 1-tenant batch. One scheduler per pool, so later batches run on a
+   scheduler earlier ones already used. *)
 let test_batched_equals_sequential () =
+  Alcotest.(check int)
+    "1 tenant on 8 domains searches 4 levels per round" 4
+    (Heuristics.Binary_search.depth_for ~pool_size:8 ~occupancy:1);
+  let seq = Lazy.force sequential in
   List.iter
     (fun domains ->
       with_pool ~domains (fun pool ->
           let sched = Par.Scheduler.create ~pool in
-          List.iter
-            (fun depth ->
-              let label =
-                match depth with
-                | None -> "adaptive"
-                | Some d -> string_of_int d
-              in
-              check_batch
-                (Printf.sprintf "pool %d, depth %s" domains label)
-                (Batch.solve_batch ?depth ~sched jobs))
-            [ None; Some 1; Some 2; Some 4 ]))
+          check_batch
+            (Printf.sprintf "pool %d" domains)
+            (Batch.solve_batch ~sched jobs);
+          Array.iteri
+            (fun i j ->
+              match j.Batch.algo.kind with
+              | Heuristics.Algorithms.Direct -> ()
+              | Heuristics.Algorithms.Yield_search _ ->
+                  check_solution
+                    (Printf.sprintf "pool %d, job %d (%s) alone" domains i
+                       j.Batch.algo.name)
+                    seq.(i)
+                    (Batch.solve_batch ~sched [| j |]).(0))
+            jobs))
     (pool_sizes ())
 
-(* Kernel rebinding in isolation: two identical batches on one scheduler.
-   The second batch's probe kernels come (partly) from tokens the first
-   batch retired; rebinding must reproduce the first batch bit-for-bit. *)
-let test_rerun_batch_rebinds_identically () =
+(* Two identical batches on one scheduler: nothing the first leaves
+   behind may change the second. *)
+let test_rerun_batch_identical () =
   with_pool ~domains:2 (fun pool ->
       let sched = Par.Scheduler.create ~pool in
       let first = Batch.solve_batch ~sched jobs in
@@ -122,6 +130,103 @@ let test_rerun_batch_rebinds_identically () =
             first.(i) b)
         second;
       check_batch "rerun (vs sequential)" second)
+
+(* Two live tenants with identical shapes (same hosts, services and
+   dimensions, different demands) probing side by side on every domain:
+   the case a scratch shared between solves, or keyed by shape, would
+   corrupt. Each must match its own sequential solve. *)
+let test_same_shape_tenants () =
+  let twins =
+    Array.init 2 (fun i ->
+        {
+          Batch.algo = Heuristics.Algorithms.metahvplight;
+          instance =
+            gen_instance ~seed:(40 + i) ~hosts:4 ~services:12
+              ~slack:[| 0.3; 0.5 |].(i);
+        })
+  in
+  let seq = Array.map (fun j -> j.Batch.algo.solve j.Batch.instance) twins in
+  Alcotest.(check bool)
+    "twins solve to different placements" true
+    (match seq with
+    | [| Some a; Some b |] ->
+        a.Heuristics.Vp_solver.placement <> b.Heuristics.Vp_solver.placement
+    | _ -> false);
+  List.iter
+    (fun domains ->
+      with_pool ~domains (fun pool ->
+          let sched = Par.Scheduler.create ~pool in
+          Array.iteri
+            (fun i b ->
+              check_solution
+                (Printf.sprintf "pool %d, twin %d" domains i)
+                seq.(i) b)
+            (Batch.solve_batch ~sched twins)))
+    (pool_sizes ())
+
+(* Round counts are a pure function of the job list and the pool size.
+   16 same-algorithm tenants whose searches all run the full bisection
+   take exactly one interleaved round per 16 serial binary-search rounds
+   on pools up to 4 (every tenant's share is one domain, so every round
+   carries one probe per tenant); and a 1-tenant batch takes exactly the
+   rounds of [maximize_par] on the same pool. *)
+let counter name =
+  Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ()) name
+
+let counted name f =
+  let before = counter name in
+  let r = f () in
+  (r, counter name - before)
+
+let test_round_counts_pinned () =
+  let was_enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was_enabled)
+  @@ fun () ->
+  let tenants =
+    Array.init 16 (fun i ->
+        {
+          Batch.algo = Heuristics.Algorithms.metahvplight;
+          instance =
+            gen_instance ~seed:(100 + i) ~hosts:4 ~services:12
+              ~slack:[| 0.3; 0.4; 0.5 |].(i mod 3);
+        })
+  in
+  let (), serial_rounds =
+    counted "binary_search.rounds" (fun () ->
+        Array.iter
+          (fun j -> ignore (j.Batch.algo.solve j.Batch.instance))
+          tenants)
+  in
+  Alcotest.(check int)
+    "every tenant runs the full 16-round search" (16 * 16) serial_rounds;
+  List.iter
+    (fun domains ->
+      with_pool ~domains (fun pool ->
+          let sched = Par.Scheduler.create ~pool in
+          let _, rounds =
+            counted "scheduler.rounds_interleaved" (fun () ->
+                Batch.solve_batch ~sched tenants)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "16 tenants at pool %d: serial rounds / 16"
+               domains)
+            (serial_rounds / 16) rounds;
+          let j = tenants.(0) in
+          let par_rounds = ref 0 in
+          ignore
+            (Heuristics.Vp_solver.solve_multi ~pool
+               ~on_round:(fun _ -> incr par_rounds)
+               Packing.Strategy.hvp_light j.Batch.instance);
+          let _, rounds =
+            counted "scheduler.rounds_interleaved" (fun () ->
+                Batch.solve_batch ~sched [| j |])
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "1 tenant at pool %d: maximize_par rounds"
+               domains)
+            !par_rounds rounds))
+    [ 1; 2; 4; 8 ]
 
 let test_empty_batch () =
   with_pool ~domains:2 (fun pool ->
@@ -164,9 +269,11 @@ let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
-      ("batched = sequential at pools x depths", test_batched_equals_sequential);
-      ("rerun on one scheduler rebinds identically",
-       test_rerun_batch_rebinds_identically);
+      ("batched = sequential at pools 1/2/4/8",
+       test_batched_equals_sequential);
+      ("rerun on one scheduler is identical", test_rerun_batch_identical);
+      ("same-shape tenants side by side", test_same_shape_tenants);
+      ("round counts pinned at every pool", test_round_counts_pinned);
       ("empty batch", test_empty_batch);
       ("Table 1 mini-sweep identical batched", test_table1_batched_identical);
     ]

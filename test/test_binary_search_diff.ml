@@ -284,11 +284,22 @@ let test_round_regression () =
             tolerances))
     [ 1; 2; 4 ]
 
-(* Forced speculation depths: any [~depth] must leave the result
-   bit-identical to the sequential search — depth only trades probes for
-   rounds. Swept over real packing oracles on a corpus slice so the
-   on-path points exercise genuine bracket updates, not just the
+(* Forced speculation depths: the search state machine driven at any
+   fixed depth must leave the result bit-identical to the sequential
+   search — depth only trades probes for rounds. [maximize_par] fixes its
+   own depth, so this drives [BS.plan] directly with the same pool round
+   [maximize_par] runs. Swept over real packing oracles on a corpus slice
+   so the on-path points exercise genuine bracket updates, not just the
    synthetic threshold. *)
+let maximize_at_depth ~pool ~depth oracle =
+  let p = BS.plan ~depth:(fun ~remaining:_ -> depth) () in
+  let rec drive prev =
+    match BS.plan_next p ~prev with
+    | None -> BS.plan_result p
+    | Some points -> drive (Par.Pool.map pool points oracle)
+  in
+  drive [||]
+
 let test_forced_depth_differential () =
   let slice =
     List.filteri (fun i _ -> i mod 5 = 0) corpus
@@ -310,7 +321,7 @@ let test_forced_depth_differential () =
                            "seed %d, %s oracle, %d domains, depth %d" seed
                            oname domains depth)
                         (BS.maximize oracle)
-                        (BS.maximize_par ~pool ~depth oracle))
+                        (maximize_at_depth ~pool ~depth oracle))
                     oracle_strategies)
                 slice)
             [ 1; 2; 3; 5 ]))
@@ -339,17 +350,19 @@ let test_probe_accounting () =
                 (BS.maximize ~tolerance (fun y ->
                      incr seq_calls;
                      if y <= target then Some y else None));
-              let par_calls = ref 0 in
+              (* Pool domains call the oracle concurrently: count
+                 atomically, or increments get lost. *)
+              let par_calls = Atomic.make 0 in
               let waste0 = waste () in
               ignore
                 (BS.maximize_par ~tolerance ~pool (fun y ->
-                     incr par_calls;
+                     Atomic.incr par_calls;
                      if y <= target then Some y else None));
               Alcotest.(check int)
                 (Printf.sprintf
                    "par calls = seq calls + waste (k=%d, tol %g)" k tolerance)
                 (!seq_calls + (waste () - waste0))
-                !par_calls)
+                (Atomic.get par_calls))
             [ 1e-2; 1e-3; BS.default_tolerance ]))
     [ 1; 2; 4 ]
 

@@ -300,24 +300,6 @@ let test_report_gate_fails_on_regression () =
                 (contains msg "baseline rev zzz not in history")
           | Ok _ -> Alcotest.fail "unknown baseline must be an error")
 
-let test_report_real_history () =
-  (* The committed bench history must load, render deterministically, and
-     pass its own gate against the committed baseline rev. *)
-  let dir = "../bench/history" in
-  let dir = if Sys.file_exists dir then dir else "bench/history" in
-  if not (Sys.file_exists dir) then ()
-  else
-    match Obs.Report.load ~dir with
-    | Error e -> Alcotest.fail e
-    | Ok t -> (
-        let revs = Obs.Report.revs t in
-        Alcotest.(check bool) "at least one rev" true (Array.length revs > 0);
-        match (Obs.Report.render t, Obs.Report.render t) with
-        | Ok r1, Ok r2 ->
-            Alcotest.(check string) "real history renders deterministically"
-              r1 r2
-        | Error e, _ | _, Error e -> Alcotest.fail e)
-
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -332,6 +314,4 @@ let suite =
        test_report_render_and_gate_pass);
       ("report: gate fails on a synthetic regression",
        test_report_gate_fails_on_regression);
-      ("report: committed bench history loads and renders",
-       test_report_real_history);
     ]
