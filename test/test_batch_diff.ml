@@ -272,8 +272,8 @@ let suite =
       ("batched = sequential at pools 1/2/4/8",
        test_batched_equals_sequential);
       ("rerun on one scheduler is identical", test_rerun_batch_identical);
-      ("same-shape tenants side by side", test_same_shape_tenants);
-      ("round counts pinned at every pool", test_round_counts_pinned);
       ("empty batch", test_empty_batch);
       ("Table 1 mini-sweep identical batched", test_table1_batched_identical);
+      ("same-shape tenants side by side", test_same_shape_tenants);
+      ("round counts pinned at every pool", test_round_counts_pinned);
     ]
