@@ -844,66 +844,6 @@ let simulate_cmd =
                $ partition $ trace_folded_term $ stats_out_term $ timeline
                $ timeline_prom $ timeline_interval))
 
-(* report *)
-
-let report_cmd =
-  let history =
-    Arg.(value & opt string "bench/history"
-         & info [ "history" ] ~docv:"DIR"
-             ~doc:"Bench history directory (one \
-                   $(b,<git-rev>-<n>.json) archive per bench run).")
-  in
-  let baseline =
-    Arg.(value & opt (some string) None
-         & info [ "baseline" ] ~docv:"REV"
-             ~doc:"Baseline git rev for deltas and the regression gate \
-                   (default: the oldest rev in the history).")
-  in
-  let max_regression =
-    Arg.(value & opt float 25.
-         & info [ "max-regression" ] ~docv:"PCT"
-             ~doc:"Fail when a gated (deterministic counter) metric's \
-                   latest value exceeds the baseline by more than $(docv) \
-                   percent. Wall-clock metrics are never gated.")
-  in
-  let run history baseline max_regression =
-    match Obs.Report.load ~dir:history with
-    | Error e -> `Error (false, e)
-    | Ok t -> (
-        let baseline =
-          match baseline with
-          | Some rev -> rev
-          | None -> (Obs.Report.revs t).(0)
-        in
-        match Obs.Report.render ~baseline t with
-        | Error e -> `Error (false, e)
-        | Ok table -> (
-            print_string table;
-            match
-              Obs.Report.gate ~baseline ~max_regression_pct:max_regression t
-            with
-            | Error e -> `Error (false, e)
-            | Ok [] ->
-                Printf.printf
-                  "\ngate: ok (no gated metric above baseline %s +%g%%)\n"
-                  baseline max_regression;
-                `Ok ()
-            | Ok failures ->
-                print_newline ();
-                print_string (Obs.Report.render_failures failures);
-                `Error
-                  ( false,
-                    Printf.sprintf
-                      "%d gated metric(s) regressed past %g%% of baseline %s"
-                      (List.length failures) max_regression baseline )))
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"Render the bench-history observatory (per-metric sparkline \
-             trends across revs, deltas vs a baseline) and gate the \
-             deterministic counter metrics against regressions.")
-    Term.(ret (const run $ history $ baseline $ max_regression))
-
 (* theorem *)
 
 let theorem_cmd =
@@ -927,4 +867,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; solve_cmd; compare_cmd; inspect_cmd; simulate_cmd;
-            report_cmd; theorem_cmd ]))
+            theorem_cmd ]))

@@ -6,6 +6,8 @@ let v ~id ~capacity =
   for i = 0 to d - 1 do
     let e = Vector.get capacity.Epair.elementary i
     and a = Vector.get capacity.Epair.aggregate i in
+    if not (Float.is_finite e && Float.is_finite a) then
+      invalid_arg (Printf.sprintf "Node.v: non-finite capacity in dim %d" i);
     if e < 0. || a < 0. then
       invalid_arg (Printf.sprintf "Node.v: negative capacity in dim %d" i);
     if e > a +. Vector.eps then
@@ -16,6 +18,8 @@ let v ~id ~capacity =
 
 let make_cores ~id ~cores ~cpu ~mem =
   if cores <= 0 then invalid_arg "Node.make_cores: cores must be positive";
+  if not (Float.is_finite cpu && Float.is_finite mem) then
+    invalid_arg "Node.make_cores: non-finite capacity";
   if cpu < 0. || mem < 0. then invalid_arg "Node.make_cores: negative capacity";
   let elementary = Vec.Vector.of_array [| cpu /. float_of_int cores; mem |] in
   let aggregate = Vec.Vector.of_array [| cpu; mem |] in

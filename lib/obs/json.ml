@@ -1,8 +1,8 @@
-(* Minimal recursive-descent JSON reader for the bench-history observatory.
-   The repo deliberately has no JSON dependency — emitters hand-print their
-   output — so the one consumer (Report) gets this small parser: full JSON
-   syntax, floats for every number, decoded string escapes (non-ASCII
-   \u escapes become '?'; the bench emitters never produce them). *)
+(* Minimal recursive-descent JSON reader. The repo deliberately has no JSON
+   dependency — emitters hand-print their output — so its readers (svcbench's
+   --repeat driver and the tests) get this small parser: full JSON syntax,
+   floats for every number, decoded string escapes (non-ASCII \u escapes
+   become '?'; the emitters never produce them). *)
 
 type t =
   | Null
@@ -183,11 +183,6 @@ let member key = function
   | Obj items -> List.assoc_opt key items
   | _ -> None
 
-let to_num = function
-  | Num v -> Some v
-  | Bool b -> Some (if b then 1. else 0.)
-  | _ -> None
+let to_num = function Num v -> Some v | _ -> None
 
-let to_str = function Str s -> Some s | _ -> None
-let to_list = function List l -> l | _ -> []
 let obj_items = function Obj items -> items | _ -> []

@@ -1,10 +1,11 @@
-(** Minimal JSON reader (bench-history observatory).
+(** Minimal JSON reader.
 
     The repo's emitters hand-print their JSON; this is the matching
-    hand-rolled parser for the one consumer that reads JSON back —
-    {!Obs.Report} over [bench/history/]. Full JSON syntax; every number
+    hand-rolled parser for the consumers that read it back: svcbench's
+    [--repeat] driver (one result line per child run) and the tests that
+    round-trip the emitters' output. Full JSON syntax; every number
     becomes a [float]; string escapes are decoded (non-ASCII [\u]
-    escapes degrade to ['?'], which the bench emitters never produce). *)
+    escapes degrade to ['?'], which the emitters never produce). *)
 
 type t =
   | Null
@@ -22,13 +23,7 @@ val member : string -> t -> t option
 (** Object member lookup; [None] on non-objects and missing keys. *)
 
 val to_num : t -> float option
-(** The number, or [Some 0. / Some 1.] for booleans (bench files encode
-    flags like [identical] as booleans); [None] otherwise. *)
-
-val to_str : t -> string option
-
-val to_list : t -> t list
-(** Elements of a [List], [[]] for any other constructor. *)
+(** The number of a [Num]; [None] for any other constructor. *)
 
 val obj_items : t -> (string * t) list
 (** Members of an [Obj], [[]] for any other constructor. *)

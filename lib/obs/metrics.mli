@@ -101,7 +101,7 @@ module Snapshot : sig
   val to_json : t -> string
   (** The snapshot as a JSON object
       [{"counters": {...}, "histograms": {...}}] with keys sorted by
-      name (the [obs] block of [BENCH_par.json]). *)
+      name (what [vmalloc solve/simulate --stats-out] writes). *)
 
   val equal : t -> t -> bool
 end

@@ -415,6 +415,53 @@ let test_round_regression_packing () =
         )
     [ 2; 4 ]
 
+(* Pinned round counts on the mid-size Table-1 corpus point (10 hosts x 40
+   services, CoV 0.5, slack 0.4): the sequential search takes 16 probes for
+   each multi-strategy algorithm, and speculation on a 2-domain pool cuts
+   that to the pinned round count with a bit-identical answer. A change
+   that costs the pooled search rounds fails here. *)
+let test_round_counts_corpus_point () =
+  let inst =
+    Experiments.Corpus.instance
+      {
+        Experiments.Corpus.hosts = 10;
+        services = 40;
+        cov = 0.5;
+        slack = 0.4;
+        cpu_homogeneous = false;
+        mem_homogeneous = false;
+        rep = 0;
+      }
+  in
+  with_pool ~domains:2 @@ fun pool ->
+  List.iter
+    (fun (name, strategies, pooled) ->
+      let solve ?pool () =
+        let rounds = ref 0 in
+        let sol =
+          Heuristics.Vp_solver.solve_multi ?pool
+            ~on_round:(fun _ -> incr rounds)
+            strategies inst
+        in
+        (sol, !rounds)
+      in
+      let seq, seq_rounds = solve () in
+      let par, par_rounds = solve ~pool () in
+      Alcotest.(check int) (name ^ ": sequential probes") 16 seq_rounds;
+      Alcotest.(check int) (name ^ ": rounds at pool 2") pooled par_rounds;
+      match (seq, par) with
+      | Some a, Some b ->
+          Alcotest.(check bool) (name ^ ": same solution at pool 2") true
+            (a.placement = b.placement
+            && Int64.bits_of_float a.min_yield
+               = Int64.bits_of_float b.min_yield)
+      | _ -> Alcotest.fail (name ^ ": expected a feasible solution"))
+    [
+      ("METAVP", Packing.Strategy.vp_all, 9);
+      ("METAHVP", Packing.Strategy.hvp_all, 9);
+      ("METAHVPLIGHT", Packing.Strategy.hvp_light, 9);
+    ]
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -428,4 +475,5 @@ let suite =
       ("probe accounting: par = seq + waste", test_probe_accounting);
       ("round count: bound and <= sequential probes", test_round_regression);
       ("round count on a packing search", test_round_regression_packing);
+      ("round counts pinned on a corpus point", test_round_counts_corpus_point);
     ]

@@ -95,6 +95,40 @@ let test_zero_services_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected error"
 
+(* NaN passes a [x < 0.] test, so non-finite capacities and requirements
+   must be rejected explicitly: each gives a one-line [Error], never [Ok]
+   and never an exception. *)
+let one_service_instance ~node ~service =
+  Printf.sprintf
+    "vmalloc-instance 1\ndims 2\nnodes 1\nnode 0 %s\nservices 1\n\
+     service 0 %s\n"
+    node service
+
+let ok_node = "elt 1 1 agg 2 1"
+let ok_service = "req-elt 0.5 0.5 req-agg 1 0.5 need-elt 0.5 0 need-agg 1 0"
+
+let test_non_finite_rejected () =
+  (match
+     Model.Codec.of_string
+       (one_service_instance ~node:ok_node ~service:ok_service)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "finite baseline must parse: %s" e);
+  expect_error
+    (one_service_instance ~node:"elt nan 1 agg 2 1" ~service:ok_service)
+    "non-finite capacity";
+  expect_error
+    (one_service_instance ~node:ok_node
+       ~service:"req-elt 0.5 nan req-agg 1 0.5 need-elt 0.5 0 need-agg 1 0")
+    "non-finite requirement";
+  expect_error
+    (one_service_instance ~node:ok_node
+       ~service:"req-elt 0.5 0.5 req-agg 1 0.5 need-elt 0.5 0 need-agg inf 0")
+    "non-finite need";
+  expect_error
+    (one_service_instance ~node:"elt 1 1 agg 2 -inf" ~service:ok_service)
+    "non-finite capacity"
+
 let test_file_roundtrip () =
   let path = Filename.temp_file "vmalloc" ".inst" in
   Fun.protect
@@ -170,6 +204,7 @@ let suite =
       ("truncated", test_truncated);
       ("trailing garbage", test_trailing_garbage);
       ("zero services rejected", test_zero_services_rejected);
+      ("non-finite values rejected", test_non_finite_rejected);
       ("file roundtrip", test_file_roundtrip);
       ("missing file", test_missing_file);
     ]

@@ -1,8 +1,9 @@
 (* lib/obs lock-down: the disabled path records nothing, enabled counters
    and histograms total correctly, Pool.map's task-sink merge keeps merged
    snapshots byte-identical at any domain count (including a real Table 1
-   sweep — the ISSUE's acceptance criterion), and the span tracer
-   round-trips through its Chrome JSON export. *)
+   sweep), the six algorithms' counter snapshots on one corpus point are
+   pinned exactly, and the span tracer round-trips through its Chrome JSON
+   export. *)
 
 (* Every test toggles the global flag, so save/restore it — the rest of
    the suite must keep running under whatever VMALLOC_OBS selected. *)
@@ -125,6 +126,110 @@ let test_table1_snapshot_domain_invariant () =
     && contains r1 "greedy.candidate_evals");
   Alcotest.(check string) "snapshot: 1 vs 2 domains" r1 r2;
   Alcotest.(check string) "snapshot: 1 vs 4 domains" r1 r4
+
+(* Per-algorithm operation counts on the mid-size Table-1 corpus point
+   (10 hosts x 40 services, CoV 0.5, slack 0.4), solved sequentially:
+   every counter the solvers emit is pinned exactly, so a change that
+   makes a solver examine more bins, try more strategies, call the oracle
+   more often or take more search rounds fails here. Regenerate a golden
+   only for a change that means to move these counts, and say why. *)
+let corpus_point =
+  lazy
+    (Experiments.Corpus.instance
+       {
+         Experiments.Corpus.hosts = 10;
+         services = 40;
+         cov = 0.5;
+         slack = 0.4;
+         cpu_homogeneous = false;
+         mem_homogeneous = false;
+         rep = 0;
+       })
+
+let algorithm_snapshots =
+  [
+    ( "RRND",
+      "simplex.bland_switches 1\n\
+      simplex.degenerate_pivots 511\n\
+      simplex.ft_updates 1209\n\
+      simplex.lu_fill_in 1028\n\
+      simplex.lu_flops 8012\n\
+      simplex.phase1_iterations 105\n\
+      simplex.pivots 1209\n\
+      simplex.refactorizations 12\n" );
+    ( "RRNZ",
+      "simplex.bland_switches 1\n\
+      simplex.degenerate_pivots 511\n\
+      simplex.ft_updates 1209\n\
+      simplex.lu_fill_in 1028\n\
+      simplex.lu_flops 8012\n\
+      simplex.phase1_iterations 105\n\
+      simplex.pivots 1209\n\
+      simplex.refactorizations 12\n" );
+    ( "METAGREEDY",
+      "greedy.candidate_evals 19600\n\
+      greedy.placements 1960\n" );
+    ( "METAVP",
+      "binary_search.probes 16\n\
+      binary_search.rounds 16\n\
+      packing.bins_examined 35549\n\
+      packing.perm_keys_tried 43494\n\
+      packing.placement_attempts 7652\n\
+      packing.placements 6860\n\
+      vp_solver.items_cache_hits 132\n\
+      vp_solver.oracle_calls 16\n\
+      vp_solver.oracle_feasible 10\n\
+      vp_solver.strategy_attempts 208\n\
+      vp_solver.win.VP-FF(NONE items) 10\n\
+      vp_solver.strategies_per_win count=10 sum=10 [1:10]\n" );
+    ( "METAHVP",
+      "binary_search.probes 16\n\
+      binary_search.rounds 16\n\
+      packing.bins_examined 152831\n\
+      packing.perm_keys_tried 519513\n\
+      packing.placement_attempts 60453\n\
+      packing.placements 52395\n\
+      vp_solver.items_cache_hits 1452\n\
+      vp_solver.oracle_calls 16\n\
+      vp_solver.oracle_feasible 10\n\
+      vp_solver.strategy_attempts 1534\n\
+      vp_solver.win.HVP-BF(DMAX items) 3\n\
+      vp_solver.win.HVP-BF(NONE items) 7\n\
+      vp_solver.strategies_per_win count=10 sum=16 [1:7 2-3:3]\n" );
+    ( "METAHVPLIGHT",
+      "binary_search.probes 16\n\
+      binary_search.rounds 16\n\
+      packing.bins_examined 47377\n\
+      packing.perm_keys_tried 127689\n\
+      packing.placement_attempts 14098\n\
+      packing.placements 12226\n\
+      vp_solver.items_cache_hits 336\n\
+      vp_solver.oracle_calls 16\n\
+      vp_solver.oracle_feasible 10\n\
+      vp_solver.strategy_attempts 370\n\
+      vp_solver.win.HVP-BF(DMAX items) 10\n\
+      vp_solver.strategies_per_win count=10 sum=10 [1:10]\n" );
+  ]
+
+let test_algorithm_snapshots_pinned () =
+  with_enabled true @@ fun () ->
+  let inst = Lazy.force corpus_point in
+  let algorithms =
+    Heuristics.Algorithms.majors ~seed:1 @ [ Heuristics.Algorithms.metahvplight ]
+  in
+  Alcotest.(check (list string))
+    "algorithm set" (List.map fst algorithm_snapshots)
+    (List.map (fun (a : Heuristics.Algorithms.t) -> a.name) algorithms);
+  List.iter2
+    (fun (a : Heuristics.Algorithms.t) (_, golden) ->
+      Obs.Metrics.reset ();
+      ignore (a.solve inst);
+      Alcotest.(check string)
+        (a.name ^ " counter snapshot")
+        golden
+        (Obs.Metrics.Snapshot.render (Obs.Metrics.snapshot ())))
+    algorithms algorithm_snapshots;
+  Obs.Metrics.reset ()
 
 let test_trace_spans () =
   Obs.Trace.stop ();
@@ -265,6 +370,8 @@ let suite =
        test_pool_merge_domain_invariant);
       ("Table 1 sweep snapshot identical at 1/2/4 domains",
        test_table1_snapshot_domain_invariant);
+      ("per-algorithm counter snapshots pinned",
+       test_algorithm_snapshots_pinned);
       ("trace spans and Chrome JSON export", test_trace_spans);
       ("trace self-time arithmetic", test_trace_self_time);
       ("trace span nesting and folded stacks", test_trace_nesting);

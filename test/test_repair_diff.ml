@@ -206,6 +206,78 @@ let test_repair_counters_engage () =
     (counter "simulator.bins_touched" > 0);
   Alcotest.(check bool) "repair passes" true (counter "simulator.repairs" > 0)
 
+(* The incremental policies' point, counted: every probe policy touches at
+   least 5x fewer bins per event than the full re-solve path, whose
+   admission scan alone walks every node per arrival, so its bins per event
+   grow with the platform while the probe policies' stay flat. At 40 hosts
+   best-fit is only 3.5x below resolve (7.45 vs 26.04 bins per event), so
+   the platform is 120 hosts at the same per-host load (arrival rate 12,
+   about two live services per host). Bins touched and events are pinned
+   per policy. *)
+let test_bins_per_event_vs_resolve () =
+  let hosts = 120 in
+  let platform =
+    Array.init hosts (fun id ->
+        if id < hosts / 2 then
+          Model.Node.make_cores ~id ~cores:4 ~cpu:0.4 ~mem:0.4
+        else Model.Node.make_cores ~id ~cores:4 ~cpu:0.8 ~mem:0.8)
+  in
+  let config =
+    {
+      config with
+      horizon = 40.;
+      arrival_rate = 12.;
+      mean_lifetime = 20.;
+      memory_scale = 0.5;
+    }
+  in
+  let was_enabled = Obs.Metrics.enabled () in
+  Fun.protect ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ();
+      Obs.Metrics.set_enabled was_enabled)
+  @@ fun () ->
+  let measure placement =
+    Obs.Metrics.set_enabled false;
+    Obs.Metrics.reset ();
+    Obs.Metrics.set_enabled true;
+    let stats =
+      Simulator.Engine.run ~rng:(Prng.Rng.create ~seed:11)
+        { config with placement } ~platform
+    in
+    Obs.Metrics.set_enabled false;
+    ( Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
+        "simulator.bins_touched",
+      stats.arrivals + stats.departures )
+  in
+  let pinned =
+    [
+      (Simulator.Policy.Resolve, (55080, 724));
+      (Simulator.Policy.Greedy_random, (2545, 766));
+      (Simulator.Policy.Best_fit, (6392, 760));
+    ]
+  in
+  let counts = List.map (fun p -> (p, measure p)) Simulator.Policy.all in
+  List.iter
+    (fun (p, (bins, events)) ->
+      let name = Simulator.Policy.to_string p in
+      let pinned_bins, pinned_events = List.assoc p pinned in
+      Alcotest.(check int) (name ^ ": bins touched pinned") pinned_bins bins;
+      Alcotest.(check int) (name ^ ": events pinned") pinned_events events)
+    counts;
+  let resolve_bins, resolve_events = List.assoc Simulator.Policy.Resolve counts in
+  List.iter
+    (fun (p, (bins, events)) ->
+      if p <> Simulator.Policy.Resolve then
+        Alcotest.(check bool)
+          (Printf.sprintf
+             "%s: %d bins / %d events is at least 5x below resolve's %d / %d"
+             (Simulator.Policy.to_string p) bins events resolve_bins
+             resolve_events)
+          true
+          (resolve_bins * events >= 5 * bins * resolve_events))
+    counts
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -216,4 +288,6 @@ let suite =
       ( "sharded incremental = full recompute",
         test_sharded_incremental_matches_full );
       ("repair counters engage", test_repair_counters_engage);
+      ("probe policies touch >= 5x fewer bins per event",
+       test_bins_per_event_vs_resolve);
     ]

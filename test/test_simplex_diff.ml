@@ -439,6 +439,36 @@ let test_backend_bit_identity_pools () =
   Alcotest.(check bool) "sparse = dense-LU at every pool size" true
     (sparse = dense_lu)
 
+(* What the Markowitz ordering buys: on a banded LP (fill-in heavy under
+   the dense-LU + eta-file backend) the sparse backend does at least 2x
+   fewer factorization flops over the same cold solve plus three warm
+   re-solves, with bit-identical results. Both flop counts are pinned. *)
+let test_sparse_lu_flops_banded () =
+  let p = Lp_gen.generate ~seed:0 ~n_vars:200 ~n_cons:150 Lp_gen.Banded in
+  let arm dense_lu =
+    with_metrics (fun () ->
+        let r, basis = Lp.Simplex.solve_basis ~dense_lu p in
+        match basis with
+        | None -> Alcotest.fail "banded LP must solve to an optimal basis"
+        | Some b ->
+            List.concat_map result_bits
+              (r
+              :: List.init 3 (fun _ ->
+                     Lp.Simplex.solve ~warm_basis:b ~dense_lu p)))
+  in
+  let sparse, sparse_of = arm false in
+  let dense, dense_of = arm true in
+  Alcotest.(check (list int64)) "sparse-LU bits = dense-LU bits" dense sparse;
+  let sparse_flops = sparse_of "simplex.lu_flops" in
+  let dense_flops = dense_of "simplex.lu_flops" in
+  Alcotest.(check bool)
+    (Printf.sprintf "sparse flops %d at least 2x below dense-LU flops %d"
+       sparse_flops dense_flops)
+    true
+    (2 * sparse_flops <= dense_flops);
+  Alcotest.(check int) "sparse-LU flops pinned" 28165 sparse_flops;
+  Alcotest.(check int) "dense-LU flops pinned" 2492623 dense_flops
+
 (* Table-1-style probe sequences: the warm-started yield search must agree
    with the cold one on the answer while spending strictly fewer pivots.
    The paper generator scales CPU need to exactly match capacity, so its
@@ -529,6 +559,10 @@ let probe_instances =
          (seed, oversubscribed ~seed ~nodes:3 ~services:8 ~factor:2.))
        [ 1; 2; 3 ])
 
+(* Exact (cold, warm) revised-simplex pivots over each probe instance's
+   whole yield search: a change that costs either arm pivots fails. *)
+let probe_pivots = [ (1, (515, 82)); (2, (557, 91)); (3, (514, 81)) ]
+
 let run_search ~warm instance =
   with_metrics (fun () -> Heuristics.Milp.relaxed_yield_search ~warm instance)
 
@@ -561,7 +595,12 @@ let test_probe_sequence_warm_vs_cold () =
         (Printf.sprintf "%s: warm pivots %d < cold pivots %d" ctx
            (warm_of "simplex.pivots") (cold_of "simplex.pivots"))
         true
-        (warm_of "simplex.pivots" < cold_of "simplex.pivots"))
+        (warm_of "simplex.pivots" < cold_of "simplex.pivots");
+      let cold_pivots, warm_pivots = List.assoc seed probe_pivots in
+      Alcotest.(check int) (ctx ^ ": cold pivots pinned") cold_pivots
+        (cold_of "simplex.pivots");
+      Alcotest.(check int) (ctx ^ ": warm pivots pinned") warm_pivots
+        (warm_of "simplex.pivots"))
     (Lazy.force probe_instances)
 
 (* Probed rounding variants: deterministic given the seed, and their
@@ -639,6 +678,7 @@ let suite =
       ("sparse LU singularity thresholds", test_sparse_lu_singular);
       ("backend bit identity", test_backend_bit_identity);
       ("backend bit identity under pools", test_backend_bit_identity_pools);
+      ("sparse LU flops on a banded LP", test_sparse_lu_flops_banded);
       ("scaled rows warm start", test_scaled_rows_warm_start);
       ("probe sequence warm vs cold", test_probe_sequence_warm_vs_cold);
       ("probed rounding deterministic", test_probed_rounding_deterministic);

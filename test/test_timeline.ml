@@ -1,17 +1,7 @@
-(* Timeline + observatory lock-down: the Obs.Timeline container's golden
-   serializations, the sharded simulator's fixed-grid telemetry being
-   byte-identical at VMALLOC_DOMAINS 1/2/4 for shard counts 1/2/4 (the
-   ISSUE's acceptance criterion), the always-on Lp.Pivot_clock, and the
-   bench-history report: render determinism, highest-n-file-wins rev
-   selection, a passing gate on steady history, and the gate failing on a
-   synthetic regressed entry. *)
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
-  in
-  nn = 0 || go 0
+(* Timeline lock-down: the Obs.Timeline container's golden serializations,
+   the sharded simulator's fixed-grid telemetry being byte-identical at
+   VMALLOC_DOMAINS 1/2/4 for shard counts 1/2/4, and the always-on
+   Lp.Pivot_clock. *)
 
 (* ---- Obs.Timeline container ----------------------------------------- *)
 
@@ -189,117 +179,6 @@ let test_pivot_clock () =
   (* The clock is always on — no Obs.Metrics flag involved. *)
   Alcotest.(check bool) "monotone" true (Lp.Pivot_clock.total () >= after)
 
-(* ---- Bench-history report ------------------------------------------- *)
-
-let write_file path body =
-  let oc = open_out path in
-  output_string oc body;
-  close_out oc
-
-let entry ~bins_per_event ~reeval =
-  Printf.sprintf
-    "{\"online\": [{\"policy\": \"best-fit\", \"hosts\": 10, \
-     \"bins_per_event\": %g, \"repairs\": 5, \"admitted\": 90}], \"sim\": \
-     {\"reeval_skips\": %d}}"
-    bins_per_event reeval
-
-(* A fresh history dir per test, with mtimes pinned so rev order is
-   (aaa, bbb, ccc) regardless of write speed. *)
-let with_history entries f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "vmalloc_report_test_%d_%d" (Unix.getpid ())
-         (Hashtbl.hash entries))
-  in
-  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir)
-  @@ fun () ->
-  List.iteri
-    (fun i (name, body) ->
-      let path = Filename.concat dir name in
-      write_file path body;
-      let t = 1e9 +. (float_of_int i *. 100.) in
-      Unix.utimes path t t)
-    entries;
-  f dir
-
-let test_report_render_and_gate_pass () =
-  with_history
-    [
-      ("aaa-0.json", entry ~bins_per_event:10. ~reeval:3);
-      (* The stale first bench run of rev bbb: the higher-numbered rerun
-         must win. *)
-      ("bbb-0.json", entry ~bins_per_event:99. ~reeval:4);
-      ("bbb-1.json", entry ~bins_per_event:10.5 ~reeval:4);
-    ]
-  @@ fun dir ->
-  match Obs.Report.load ~dir with
-  | Error e -> Alcotest.fail e
-  | Ok t -> (
-      Alcotest.(check (array string))
-        "revs chronological" [| "aaa"; "bbb" |] (Obs.Report.revs t);
-      (match (Obs.Report.render t, Obs.Report.render t) with
-      | Ok r1, Ok r2 ->
-          Alcotest.(check string) "render twice is byte-identical" r1 r2;
-          Alcotest.(check bool) "latest value is from bbb-1, not bbb-0" true
-            (contains r1 "10.5");
-          Alcotest.(check bool) "stale bbb-0 value ignored" false
-            (contains r1 "99");
-          Alcotest.(check bool) "gated metric flagged" true
-            (contains r1 "online.best-fit.h10.bins_per_event  [gated]")
-      | Error e, _ | _, Error e -> Alcotest.fail e);
-      match Obs.Report.gate ~baseline:"aaa" ~max_regression_pct:25. t with
-      | Error e -> Alcotest.fail e
-      | Ok failures ->
-          Alcotest.(check int) "+5% stays under a 25% gate" 0
-            (List.length failures))
-
-let test_report_gate_fails_on_regression () =
-  with_history
-    [
-      ("aaa-0.json", entry ~bins_per_event:10. ~reeval:3);
-      ("ccc-0.json", entry ~bins_per_event:20. ~reeval:3);
-    ]
-  @@ fun dir ->
-  match Obs.Report.load ~dir with
-  | Error e -> Alcotest.fail e
-  | Ok t -> (
-      match Obs.Report.gate ~baseline:"aaa" ~max_regression_pct:25. t with
-      | Error e -> Alcotest.fail e
-      | Ok failures ->
-          Alcotest.(check int) "the doubled counter fails the gate" 1
-            (List.length failures);
-          let f = List.hd failures in
-          Alcotest.(check string) "which metric"
-            "online.best-fit.h10.bins_per_event" f.Obs.Report.metric;
-          Alcotest.(check (float 1e-9)) "regression percent" 100.
-            f.Obs.Report.pct;
-          Alcotest.(check bool) "failure rendering names the metric" true
-            (contains
-               (Obs.Report.render_failures failures)
-               "REGRESSION online.best-fit.h10.bins_per_event: 10 -> 20 \
-                (+100.0%)");
-          (* Ungated info metrics never trip the gate, and a generous
-             threshold passes the same history. *)
-          (match
-             Obs.Report.gate ~baseline:"aaa" ~max_regression_pct:150. t
-           with
-          | Ok [] -> ()
-          | Ok _ -> Alcotest.fail "150% gate should pass a +100% regression"
-          | Error e -> Alcotest.fail e);
-          match Obs.Report.gate ~baseline:"zzz" ~max_regression_pct:25. t with
-          | Error msg ->
-              Alcotest.(check bool) "unknown baseline is a one-line error"
-                true
-                (contains msg "baseline rev zzz not in history")
-          | Ok _ -> Alcotest.fail "unknown baseline must be an error")
-
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -310,8 +189,4 @@ let suite =
       ("sharded timeline identical at 1/2/4 domains x 1/2/4 shards",
        test_sharded_domain_invariant);
       ("pivot clock ticks on LP solves", test_pivot_clock);
-      ("report: render determinism, rev selection, passing gate",
-       test_report_render_and_gate_pass);
-      ("report: gate fails on a synthetic regression",
-       test_report_gate_fails_on_regression);
     ]
