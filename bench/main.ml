@@ -157,17 +157,31 @@ let run_ablation () =
     (Experiments.Ablation.report_window
        (Experiments.Ablation.window_sweep ?pool:!pool ()));
   print_newline ();
-  print_string
-    (Experiments.Ablation.report_pp_implementation
-       (Experiments.Ablation.pp_implementation ?pool:!pool ()));
+  let pp = Experiments.Ablation.pp_implementation ?pool:!pool () in
+  print_string (Experiments.Ablation.report_pp_implementation pp);
+  List.iter
+    (fun (r : Experiments.Ablation.pp_impl_row) ->
+      progress
+        (Printf.sprintf "ablation PP D=%d: fast %.5fs, naive D!-list %.5fs"
+           r.dims r.fast_seconds r.naive_seconds))
+    pp;
   print_newline ();
-  print_string
-    (Experiments.Ablation.report_tolerance
-       (Experiments.Ablation.tolerance_sweep ?pool:!pool ()));
+  let tol = Experiments.Ablation.tolerance_sweep ?pool:!pool () in
+  print_string (Experiments.Ablation.report_tolerance tol);
+  List.iter
+    (fun (r : Experiments.Ablation.tolerance_row) ->
+      progress
+        (Printf.sprintf "ablation tolerance %g: mean %.3fs" r.tolerance
+           r.mean_seconds))
+    tol;
   print_newline ();
-  print_string
-    (Experiments.Ablation.report_dimension
-       (Experiments.Ablation.dimension_sweep ?pool:!pool ()))
+  let dims = Experiments.Ablation.dimension_sweep ?pool:!pool () in
+  print_string (Experiments.Ablation.report_dimension dims);
+  List.iter
+    (fun (r : Experiments.Ablation.dimension_row) ->
+      progress
+        (Printf.sprintf "ablation D=%d: mean %.3fs" r.n_dims r.mean_seconds))
+    dims
 
 let all_sections =
   [

@@ -324,7 +324,7 @@ let run_batch ~jobs ~domains =
           Printf.printf "[%d] %s: no feasible placement\n" i
             jobs.(i).Heuristics.Batch.algo.name)
     results;
-  Printf.printf "%d jobs on %d domain(s): %.3fs total, %.3fs/job\n"
+  Printf.eprintf "%d jobs on %d domain(s): %.3fs total, %.3fs/job\n%!"
     (Array.length jobs) domains dt
     (dt /. float_of_int (max 1 (Array.length jobs)))
 
@@ -347,10 +347,11 @@ let solve_cmd =
   let domains =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains for speculative parallel yield probes \
-                   (0 = read \\$VMALLOC_DOMAINS, defaulting to the \
-                   recommended domain count; 1 = sequential). The result \
-                   is bit-identical at any value.")
+             ~doc:"Worker domains for parallel strategy attempts within \
+                   each probe (0 = read \\$VMALLOC_DOMAINS, defaulting to \
+                   the recommended domain count; 1 = sequential). The \
+                   result and the --stats counters are bit-identical at \
+                   any value.")
   in
   let trace =
     Arg.(value & opt (some string) None
@@ -435,17 +436,19 @@ let solve_cmd =
                                 algo.solve ~pool inst)
                           else algo.solve inst
                         in
-                        let t0 = Sys.time () in
+                        (* The wall time varies from run to run, so it
+                           goes to stderr; stdout stays deterministic. *)
+                        let t0 = Unix.gettimeofday () in
                         let result = solve () in
-                        let dt = Sys.time () -. t0 in
+                        Printf.eprintf "%s: %.3fs wall\n%!" algo.name
+                          (Unix.gettimeofday () -. t0);
                         (match result with
                         | None ->
-                            Printf.printf
-                              "%s: no feasible placement (%.3fs)\n" algo.name
-                              dt
+                            Printf.printf "%s: no feasible placement\n"
+                              algo.name
                         | Some sol ->
-                            Printf.printf "%s: minimum yield %.4f (%.3fs)\n"
-                              algo.name sol.min_yield dt;
+                            Printf.printf "%s: minimum yield %.4f\n"
+                              algo.name sol.min_yield;
                             if verbose then begin
                               match
                                 Model.Placement.water_fill inst sol.placement
@@ -460,9 +463,9 @@ let solve_cmd =
   Cmd.v
     (Cmd.info "solve"
        ~doc:"Place services with one algorithm (--domains > 1 runs the \
-             yield search's probes in parallel; --batch multiplexes many \
-             jobs over one pool; --stats / --stats-out / --trace / \
-             --trace-folded observe the run).")
+             strategy attempts of each probe in parallel; --batch \
+             multiplexes many jobs over one pool; --stats / --stats-out / \
+             --trace / --trace-folded observe the run).")
     Term.(ret (const run $ instance_file_term $ gen_opts_term $ algo_term
                $ verbose $ domains $ stats_term $ trace $ trace_folded_term
                $ stats_out_term $ batch))
@@ -500,8 +503,7 @@ let compare_cmd =
               Obs.Metrics.set_enabled true
             end;
             let table =
-              Stats.Table.create
-                ~headers:[ "algorithm"; "min yield"; "time (s)" ]
+              Stats.Table.create ~headers:[ "algorithm"; "min yield" ]
             in
             let all =
               Array.of_list
@@ -509,7 +511,8 @@ let compare_cmd =
                 @ [ Heuristics.Algorithms.metahvplight ])
             in
             (* One task per algorithm; rows — and, with [--stats], the
-               per-task metric sinks — land in registry order either way. *)
+               per-task metric sinks — land in registry order either way.
+               Wall times vary from run to run, so they go to stderr. *)
             let rows =
               Par.Pool.with_pool ~domains (fun pool ->
                   Par.Pool.map pool all
@@ -520,10 +523,14 @@ let compare_cmd =
                         | Some sol -> Printf.sprintf "%.4f" sol.min_yield
                         | None -> "fail"
                       in
-                      [ algo.name; cell;
-                        Printf.sprintf "%.3f" (Unix.gettimeofday () -. t0) ]))
+                      (algo.name, cell, Unix.gettimeofday () -. t0)))
             in
-            Array.iter (Stats.Table.add_row table) rows;
+            Array.iter
+              (fun (name, cell, dt) ->
+                Stats.Table.add_row table [ name; cell ];
+                Printf.eprintf "%s: %.3fs wall\n" name dt)
+              rows;
+            flush stderr;
             Stats.Table.print table;
             if stats then print_stats ();
             flush_sinks ();
@@ -726,7 +733,9 @@ let simulate_cmd =
         `Error (false, e)
     | Ok threshold, Ok domains, Ok placement, Ok algorithm, Ok partition -> (
         let want_timeline = timeline <> None || timeline_prom <> None in
-        if want_timeline && timeline_interval <= 0. then
+        if hosts <= 0 then
+          `Error (false, Printf.sprintf "--hosts %d: must be positive" hosts)
+        else if want_timeline && timeline_interval <= 0. then
           `Error
             ( false,
               Printf.sprintf "--timeline-interval %g: must be positive"

@@ -239,7 +239,7 @@ let report_window rows =
 let report_pp_implementation rows =
   let table =
     Stats.Table.create
-      ~headers:[ "D"; "items"; "fast (s)"; "naive D!-list (s)"; "identical" ]
+      ~headers:[ "D"; "items"; "identical" ]
   in
   List.iter
     (fun r ->
@@ -247,20 +247,19 @@ let report_pp_implementation rows =
         [
           string_of_int r.dims;
           string_of_int r.items;
-          Printf.sprintf "%.5f" r.fast_seconds;
-          Printf.sprintf "%.5f" r.naive_seconds;
           (if r.identical then "yes" else "NO");
         ])
     rows;
   "== Ablation: fast key-based PP selection vs literal D!-list scan ==\n"
   ^ Stats.Table.render table
-  ^ "\nIdentical packings; the naive implementation's cost grows with D!.\n"
+  ^ "\nIdentical packings; the naive implementation's cost grows with D!\n\
+     (wall times go to stderr).\n"
 
 let report_dimension rows =
   let table =
     Stats.Table.create
       ~headers:
-        [ "D"; "resources"; "solved"; "mean yield"; "mean time (s)" ]
+        [ "D"; "resources"; "solved"; "mean yield" ]
   in
   List.iter
     (fun r ->
@@ -270,7 +269,6 @@ let report_dimension rows =
           r.resource_names;
           Printf.sprintf "%d/%d" r.solved r.total;
           Printf.sprintf "%.4f" r.mean_yield;
-          Printf.sprintf "%.3f" r.mean_seconds;
         ])
     rows;
   "== Ablation: resource dimensionality (METAHVPLIGHT on N-D workloads) ==\n"
@@ -279,7 +277,7 @@ let report_dimension rows =
 let report_tolerance rows =
   let table =
     Stats.Table.create
-      ~headers:[ "tolerance"; "mean yield"; "mean time (s)" ]
+      ~headers:[ "tolerance"; "mean yield" ]
   in
   List.iter
     (fun r ->
@@ -287,7 +285,6 @@ let report_tolerance rows =
         [
           Printf.sprintf "%g" r.tolerance;
           Printf.sprintf "%.4f" r.mean_yield;
-          Printf.sprintf "%.3f" r.mean_seconds;
         ])
     rows;
   "== Ablation: binary-search stopping width (METAHVPLIGHT) ==\n"

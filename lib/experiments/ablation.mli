@@ -56,6 +56,10 @@ val dimension_sweep :
     METAHVPLIGHT for D = 2..4 — the framework handles arbitrary resource
     lists; cost grows with D through the packing inner loops. *)
 
+(** The reports render the deterministic columns only; the [*_seconds]
+    fields are wall times, which vary from run to run, so callers print
+    them to stderr. *)
+
 val report_window : window_row list -> string
 val report_pp_implementation : pp_impl_row list -> string
 val report_tolerance : tolerance_row list -> string

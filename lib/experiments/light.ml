@@ -39,8 +39,8 @@ let run ?(progress = fun _ -> ()) ?pool (scale : Scale.t) =
   let time_hvp = ref 0. and time_light = ref 0. in
   List.iteri
     (fun i (_, inst) ->
-      (* The pool accelerates each solve from the inside (speculative
-         yield probes) — bit-identical results, fewer oracle rounds. *)
+      (* The pool accelerates each solve from the inside (parallel
+         strategy attempts within each probe) — bit-identical results. *)
       Obs.Metrics.incr c_trials;
       let hvp, t_hvp =
         solve_traced "METAHVP" Heuristics.Algorithms.metahvp ?pool inst

@@ -15,8 +15,9 @@ type result = {
 }
 
 val run : ?progress:(string -> unit) -> ?pool:Par.Pool.t -> Scale.t -> result
-(** With a [pool] of size > 1, each METAHVP / METAHVPLIGHT solve runs its
-    yield search speculatively over the pool — counts and yields are
-    bit-identical to the sequential run, only the timings change. *)
+(** With a [pool] of size > 1, each METAHVP / METAHVPLIGHT solve runs the
+    strategy attempts of each yield probe in parallel over the pool —
+    counts and yields are bit-identical to the sequential run, only the
+    timings change. *)
 
 val report : result -> string

@@ -20,9 +20,9 @@ val run :
   scenario list
 (** One scenario per entry of [scale.table1_services]; instances sweep the
     scale's CoV and slack lists. With a [pool], trials fan out over its
-    domains; with a [probe_pool], each trial's yield binary search instead
-    probes speculatively over that pool ({!Heuristics.Binary_search}
-    [.maximize_par]); with a [sched], each scenario's full trial set runs
+    domains; with a [probe_pool], each trial's yield probes instead run
+    their strategy attempts in parallel over that pool
+    ({!Heuristics.Vp_solver.solve_multi}); with a [sched], each scenario's full trial set runs
     as one batched multi-tenant workload ({!Heuristics.Batch.solve_batch})
     whose probe rounds interleave on the scheduler's pool — [sched]
     supersedes the other two, pass exactly one. Every mode leaves the

@@ -8,7 +8,7 @@ type t = {
   solve : ?pool:Par.Pool.t -> Model.Instance.t -> Vp_solver.solution option;
 }
 
-(* Algorithms with no yield binary search ignore the pool. *)
+(* Algorithms with no multi-strategy probe ignore the pool. *)
 let no_pool solve ?pool:_ instance = solve instance
 
 let metagreedy =
@@ -85,8 +85,7 @@ let exact_milp ?node_limit () =
 let single_vp strategy =
   { name = Packing.Strategy.name strategy;
     kind = Yield_search [ strategy ];
-    solve =
-      (fun ?pool instance -> Vp_solver.solve ?pool strategy instance) }
+    solve = no_pool (Vp_solver.solve strategy) }
 
 let single_greedy sort place =
   {

@@ -15,11 +15,12 @@ type t = {
   kind : kind;
   solve : ?pool:Par.Pool.t -> Model.Instance.t -> Vp_solver.solution option;
 }
-(** [solve ?pool instance]: with a [pool] of size > 1 the binary-search
-    algorithms (METAVP / METAHVP / METAHVPLIGHT and {!single_vp}) run
-    their yield search speculatively over the pool
-    ({!Binary_search.maximize_par}) — the result is bit-identical at any
-    pool size. Algorithms without a yield search ignore the pool.
+(** [solve ?pool instance]: with a [pool] of size > 1 the META*
+    algorithms run the strategy attempts of each yield probe in parallel
+    over the pool ({!Vp_solver.solve_multi}) — the result and every
+    metric are bit-identical at any pool size. {!single_vp} (one
+    strategy per probe) and the algorithms without a yield search ignore
+    the pool.
     [kind] describes the same split structurally, for drivers that need
     to step the search themselves rather than call [solve]. *)
 

@@ -12,8 +12,8 @@ let clamp_tolerance tolerance =
 let c_rounds = Obs.Metrics.counter "binary_search.rounds"
 let c_probes = Obs.Metrics.counter "binary_search.probes"
 
-(* Speculative probes evaluated by [maximize_par] that the sequential
-   probe path never consumes — the price of the k-probe speedup. *)
+(* Speculative probes evaluated by a [plan] fan that the sequential probe
+   path never consumes — the price of interleaving fewer rounds. *)
 let c_waste = Obs.Metrics.counter "binary_search.speculative_waste"
 
 (* Speculation depth actually used per bisect round (after the remaining-
@@ -84,7 +84,7 @@ let levels_needed ~tolerance ~lo ~hi =
   done;
   max 1 !r
 
-(* The speculation-depth rule of every pooled driver: with [occupancy]
+(* The speculation-depth rule of the batched driver: with [occupancy]
    live searches sharing a [pool_size]-domain pool, each search's fair
    share is [pool_size / occupancy] domains (at least 1), and one round
    resolves as many bisection levels as that share can probe at once. A
@@ -93,14 +93,14 @@ let levels_needed ~tolerance ~lo ~hi =
 let depth_for ~pool_size ~occupancy =
   levels_for ~pool_size:(max 1 (pool_size / max 1 occupancy))
 
-(* Steppable speculative search — the one state machine behind both
-   [maximize_par] (one request, one pool) and [Par.Scheduler] batching
-   (many requests interleaved per round). Each [plan_next] consumes the
-   previous batch's verdicts and emits the next batch of candidate
-   yields; points use the exact [0.5 *. (lo +. hi)] arithmetic of the
-   sequential loop and the resolution walk replays its branch decisions,
-   re-checking the stopping width before each level, so the outcome is
-   bit-identical to [maximize] whatever depth each round used. *)
+(* Steppable speculative search — the state machine behind
+   [Par.Scheduler] batching (many requests interleaved per round). Each
+   [plan_next] consumes the previous batch's verdicts and emits the next
+   batch of candidate yields; points use the exact [0.5 *. (lo +. hi)]
+   arithmetic of the sequential loop and the resolution walk replays its
+   branch decisions, re-checking the stopping width before each level, so
+   the outcome is bit-identical to [maximize] whatever depth each round
+   used. *)
 type stage = Init | Await_one | Await_zero | Await_bisect | Finished
 
 type 'a plan = {
@@ -213,13 +213,3 @@ let plan_next p ~prev =
 let plan_result p = p.p_best
 
 let plan_finished p = p.p_stage = Finished
-
-let maximize_par ?tolerance ?on_round ~pool oracle =
-  let m = depth_for ~pool_size:(Par.Pool.size pool) ~occupancy:1 in
-  let p = plan ?tolerance ?on_round ~depth:(fun ~remaining:_ -> m) () in
-  let rec drive prev =
-    match plan_next p ~prev with
-    | None -> plan_result p
-    | Some points -> drive (Par.Pool.map pool points oracle)
-  in
-  drive [||]

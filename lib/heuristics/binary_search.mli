@@ -6,23 +6,20 @@
     which the oracle succeeds. The search stops when the bracketing interval
     is narrower than the paper's threshold 1e-4.
 
-    {!maximize_par} is the speculative multi-probe variant: one pool round
-    evaluates the candidate yields of the next few bisection levels
-    concurrently and then resolves the ordinary probe path through the
-    precomputed answers. Because packing oracles are {e not} monotone in the
-    yield (a heuristic can pack at 0.6 yet fail at 0.5), any parallel search
-    that is bit-identical to the sequential one must probe the {e same}
-    points and take the {e same} branch decisions — speculation over the
-    bisection tree is exactly that, trading wasted off-path probes (on
-    otherwise idle domains) for several bracket levels per round. The
-    speculation {e depth} — how many future levels one round precomputes —
-    only sizes the fan, never the on-path points, so it is a free parameter
-    of the search; the pooled drivers all take it from {!depth_for}, a pure
-    function of pool size and live-request count.
-
-    {!plan} exposes the same search as a steppable state machine so
-    {!Par.Scheduler} can interleave many searches' rounds; {!maximize_par}
-    is a single-request driver over it. *)
+    A single solve always runs the sequential {!maximize}; a pool speeds
+    it up inside each probe ({!Vp_solver}), never across probes. {!plan}
+    is the steppable speculative variant that {!Par.Scheduler} interleaves
+    across many batched searches: one round evaluates the candidate yields
+    of the next few bisection levels and then resolves the ordinary probe
+    path through the precomputed answers. Because packing oracles are
+    {e not} monotone in the yield (a heuristic can pack at 0.6 yet fail at
+    0.5), any such search that is bit-identical to the sequential one must
+    probe the {e same} points and take the {e same} branch decisions —
+    speculation over the bisection tree is exactly that, trading wasted
+    off-path probes for several bracket levels per round. The speculation
+    {e depth} — how many future levels one round precomputes — only sizes
+    the fan, never the on-path points; the batched driver takes it from
+    {!depth_for}, a pure function of pool size and live-request count. *)
 
 val default_tolerance : float
 (** 1e-4, the paper's threshold. *)
@@ -61,19 +58,19 @@ val levels_for : pool_size:int -> int
     resolve — the default speculation depth. *)
 
 val depth_for : pool_size:int -> occupancy:int -> int
-(** The speculation depth of the pooled drivers (DESIGN.md §16):
+(** The speculation depth of the batched driver (DESIGN.md §16):
     [levels_for ~pool_size:(max 1 (pool_size / occupancy))]. With
     [occupancy] live searches sharing a [pool_size]-domain pool, each
     search's fair share is [pool_size / occupancy] domains, and one round
-    resolves as many levels as that share can probe at once.
-    {!maximize_par} uses [~occupancy:1]; {!Batch} the scheduler's live
-    count. Depth never affects which points are probed, only how many are
-    precomputed, so the rule moves round counts, never results. *)
+    resolves as many levels as that share can probe at once. {!Batch}
+    passes the scheduler's live count. Depth never affects which points
+    are probed, only how many are precomputed, so the rule moves round
+    counts, never results. *)
 
 type 'a plan
 (** A steppable speculative yield search over oracles of type
-    [float -> 'a option] — the state machine {!maximize_par} drives alone
-    and {!Par.Scheduler} interleaves across many requests. *)
+    [float -> 'a option] — the state machine {!Par.Scheduler} interleaves
+    across many requests. *)
 
 val plan :
   ?tolerance:float ->
@@ -105,29 +102,3 @@ val plan_result : 'a plan -> ('a * float) option
     already failed. *)
 
 val plan_finished : 'a plan -> bool
-
-val maximize_par :
-  ?tolerance:float ->
-  ?on_round:(float array -> unit) ->
-  pool:Par.Pool.t ->
-  (float -> 'a option) ->
-  ('a * float) option
-(** [maximize_par ~pool oracle] returns bit-identical results to
-    {!maximize} at the same tolerance, in fewer oracle rounds: each round
-    fans the candidate yields of the next [m] bisection levels over the
-    pool ({!Par.Pool.map}) and walks the sequential probe path through the
-    precomputed results, so the bracket shrinks by [2^m] per round instead
-    of 2. [m] is [depth_for ~pool_size ~occupancy:1] (= [levels_for
-    ~pool_size]), capped by the levels actually remaining. Drive {!plan}
-    directly for any other depth policy — every depth yields the same
-    result, only round counts and speculative waste change, which the
-    forced-depth differential sweep locks.
-    Identity holds for any {e pure} oracle — candidate points are computed
-    with the sequential midpoint arithmetic, branch decisions replay the
-    sequential ones, and off-path speculative results are discarded.
-    Oracles are evaluated concurrently, so they must be thread-safe as
-    well as pure; if one raises, the first exception (in claim order) is
-    re-raised after the round's in-flight probes finish and the pool
-    remains usable. A pool of size 1 degenerates to the sequential probe
-    sequence exactly. [on_round] is called once per round with the round's
-    candidate yields. *)

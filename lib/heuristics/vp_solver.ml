@@ -21,11 +21,13 @@ let pack_at_yield strategy instance y =
 (* Oracle-level observability: how many fixed-yield probes a solve costs,
    how many strategy attempts each probe burns before one packs, and which
    strategy actually wins (the question behind METAHVP's 253-strategy
-   bill). Counting is keyed off strategy identity only, so totals are
+   bill). Every count is the sequential probe's — the attempts up to and
+   including the winner — whichever domains ran them, so totals are
    deterministic for a fixed amount of performed work. *)
 let c_oracle = Obs.Metrics.counter "vp_solver.oracle_calls"
 let c_feasible = Obs.Metrics.counter "vp_solver.oracle_feasible"
 let c_attempts = Obs.Metrics.counter "vp_solver.strategy_attempts"
+let c_item_hits = Obs.Metrics.counter "vp_solver.items_cache_hits"
 let h_win_index = Obs.Metrics.histogram "vp_solver.strategies_per_win"
 
 let win_counter strategy =
@@ -33,32 +35,68 @@ let win_counter strategy =
 
 let probe_args y = [ ("y", Printf.sprintf "%.6f" y) ]
 
-(* One fixed-yield probe: try [strategies] in order until one packs.
-   [packer y] runs inside the probe span and returns the attempt function
-   at [y] — fresh allocation on the naive path, the refilled kernel
-   otherwise. *)
-let probe ~packer strategies y =
-  Obs.Trace.span "probe" ~args:(probe_args y) @@ fun () ->
-  Obs.Metrics.incr c_oracle;
-  let pack = packer y in
-  let rec attempt idx = function
-    | [] -> None
-    | strategy :: rest -> (
-        Obs.Metrics.incr c_attempts;
-        match pack strategy with
-        | None -> attempt (idx + 1) rest
-        | Some placement ->
-            if Obs.Metrics.enabled () then begin
-              Obs.Metrics.incr c_feasible;
-              Obs.Metrics.incr (win_counter strategy);
-              Obs.Metrics.observe h_win_index idx
-            end;
-            Obs.Trace.instant "win"
-              ~args:
-                (("strategy", Packing.Strategy.name strategy) :: probe_args y);
-            Some placement)
+let first_success n f =
+  let rec scan i =
+    if i >= n then None
+    else match f i with Some v -> Some (i, v) | None -> scan (i + 1)
   in
-  attempt 1 strategies
+  scan 0
+
+(* [repeats.(k)]: how many of the first [k] strategies reuse the item
+   order of an earlier one — the sort-memo hits of a sequential kernel
+   probe that stops after [k] attempts (its memo starts empty each
+   probe). Pooled attempts spread over per-domain memos whose physical
+   hits depend on who claimed what, so the counter takes this value. *)
+let memo_repeats strategies =
+  let n = Array.length strategies in
+  let repeats = Array.make (n + 1) 0 in
+  let seen = ref [] in
+  Array.iteri
+    (fun i (s : Packing.Strategy.t) ->
+      let hit = List.mem s.item_order !seen in
+      if not hit then seen := s.item_order :: !seen;
+      repeats.(i + 1) <- (repeats.(i) + if hit then 1 else 0))
+    strategies;
+  repeats
+
+(* One fixed-yield probe: the first strategy, in list order, that packs.
+   [attempt y s] runs one attempt on the calling domain. With a pool of
+   size > 1 the attempts run as [Par.Pool.find_first], whose winner and
+   merged counts are the sequential scan's; the attempts it ran past the
+   winner go on the probe span ([off_path]) with [trace_args y], never
+   into the metrics. *)
+let probe ?pool ~attempt ~repeats ~trace_args strategies y =
+  let n = Array.length strategies in
+  let ran = Atomic.make 0 and tried = ref 0 in
+  let try_at i =
+    Atomic.incr ran;
+    attempt y strategies.(i)
+  in
+  Obs.Trace.span "probe" ~args:(probe_args y)
+    ~late:(fun () ->
+      ("off_path", string_of_int (Atomic.get ran - !tried)) :: trace_args y)
+  @@ fun () ->
+  Obs.Metrics.incr c_oracle;
+  let found =
+    match pool with
+    | Some pool -> Par.Pool.find_first pool n try_at
+    | None -> first_success n try_at
+  in
+  tried := (match found with Some (i, _) -> i + 1 | None -> n);
+  Obs.Metrics.add c_attempts !tried;
+  Obs.Metrics.add c_item_hits repeats.(!tried);
+  match found with
+  | None -> None
+  | Some (i, placement) ->
+      let strategy = strategies.(i) in
+      if Obs.Metrics.enabled () then begin
+        Obs.Metrics.incr c_feasible;
+        Obs.Metrics.incr (win_counter strategy);
+        Obs.Metrics.observe h_win_index (i + 1)
+      end;
+      Obs.Trace.instant "win"
+        ~args:(("strategy", Packing.Strategy.name strategy) :: probe_args y);
+      Some placement
 
 (* Probe-shared packing kernel (DESIGN.md §11). Every strategy attempt of
    one fixed-yield probe sees the same item demands, so the kernel builds
@@ -115,11 +153,11 @@ let attempt_kernel k strategy =
   Packing.Strategy.run ~cache:k.k_cache strategy ~bins:k.k_bins
     ~items:k.k_items
 
-(* Solve-owned kernel scratch (DESIGN.md §11, §16). The speculative
-   search runs one solve's probes on several domains at once, so each
-   domain that runs a probe of this solve gets its own kernel, built on
-   its first probe. Only the owning domain ever pushes its entry, so the
-   CAS retry loop never races two kernels for one domain; readers see
+(* Solve-owned kernel scratch (DESIGN.md §11, §16). A pooled probe runs
+   one solve's strategy attempts on several domains at once, so each
+   domain that runs an attempt of this solve gets its own kernel, built
+   on its first attempt. Only the owning domain ever pushes its entry, so
+   the CAS retry loop never races two kernels for one domain; readers see
    either the list without their entry (and push one) or with it. The
    kernels die with the oracle closure — nothing outlives the solve, and
    concurrent solves never share scratch. *)
@@ -140,22 +178,49 @@ let kernel_here kernels instance =
 (* The fixed-yield probe oracle of one solve and its retirement hook: the
    probe-shared kernel by default, the naive fresh-allocation path under
    [~kernel:false] — the reference the differential tests diff against.
-   Handed out raw to the batched solve driver ({!Batch}), which steps a
-   {!Binary_search.plan} under {!Par.Scheduler} and retires the oracle
-   once the request completes, dropping its kernels. *)
-let batch_oracle ?(kernel = true) strategies instance =
+   With a [pool], each probe's attempts run over it. The trace records
+   each domain's physical sort-memo hits at the probe's yield as
+   [memo_hits] ("domain:hits", by domain id). *)
+let oracle ?pool ?(kernel = true) strategies instance =
+  let strategies = Array.of_list strategies in
   if kernel then begin
     let kernels : (Domain.id * kernel) list Atomic.t = Atomic.make [] in
-    let packer yld =
+    let attempt yld strategy =
       let k = kernel_here kernels instance in
       refill k yld;
-      attempt_kernel k
+      attempt_kernel k strategy
     in
-    (probe ~packer strategies, fun () -> Atomic.set kernels [])
+    let trace_args yld =
+      let hits =
+        List.filter_map
+          (fun ((d : Domain.id), k) ->
+            if k.k_yield = yld then
+              Some ((d :> int), Packing.Strategy.cache_hits k.k_cache)
+            else None)
+          (Atomic.get kernels)
+      in
+      [ ( "memo_hits",
+          String.concat " "
+            (List.map
+               (fun (d, h) -> Printf.sprintf "%d:%d" d h)
+               (List.sort compare hits)) ) ]
+    in
+    ( probe ?pool ~attempt ~repeats:(memo_repeats strategies) ~trace_args
+        strategies,
+      fun () -> Atomic.set kernels [] )
   end
   else
-    (probe ~packer:(fun y s -> pack_at_yield s instance y) strategies,
-     fun () -> ())
+    ( probe ?pool
+        ~attempt:(fun y s -> pack_at_yield s instance y)
+        ~repeats:(Array.make (Array.length strategies + 1) 0)
+        ~trace_args:(fun _ -> [])
+        strategies,
+      fun () -> () )
+
+(* The batched driver ({!Batch}) runs each probe as one scheduler task on
+   the scheduler's pool, where a nested pool call is forbidden, so its
+   probes scan their strategies sequentially. *)
+let batch_oracle ?kernel strategies instance = oracle ?kernel strategies instance
 
 let evaluate instance placement =
   match Model.Placement.min_yield instance placement with
@@ -166,26 +231,18 @@ let finish instance = function
   | None -> None
   | Some (placement, _probed_yield) -> evaluate instance placement
 
-(* Probe oracles are pure as observed from outside (each domain probes
-   through its own kernel and every kernel computes identical bits; the naive
-   path allocates fresh items and bins per call), so a pool of size > 1
-   can run the speculative multi-probe search and still return
-   bit-identical results. *)
-let search ?tolerance ?pool ?on_round oracle =
-  match pool with
-  | Some pool when Par.Pool.size pool > 1 ->
-      Binary_search.maximize_par ?tolerance ?on_round ~pool oracle
-  | Some _ | None -> Binary_search.maximize ?tolerance ?on_round oracle
-
-let solve ?tolerance ?pool ?on_round ?kernel strategy instance =
-  Obs.Trace.span "solve" ~args:[ ("strategy", Packing.Strategy.name strategy) ]
-  @@ fun () ->
-  let probe, _retire = batch_oracle ?kernel [ strategy ] instance in
-  search ?tolerance ?pool ?on_round probe |> finish instance
-
+(* The yield search is the sequential bisection; a pool of size > 1
+   parallelizes the strategy attempts inside each probe, and the probe's
+   winner is the sequential one, so the result is bit-identical. *)
 let solve_multi ?tolerance ?pool ?on_round ?kernel strategies instance =
   Obs.Trace.span "solve_multi"
     ~args:[ ("strategies", string_of_int (List.length strategies)) ]
   @@ fun () ->
-  let probe, _retire = batch_oracle ?kernel strategies instance in
-  search ?tolerance ?pool ?on_round probe |> finish instance
+  let probe, _retire = oracle ?pool ?kernel strategies instance in
+  Binary_search.maximize ?tolerance ?on_round probe |> finish instance
+
+let solve ?tolerance ?on_round ?kernel strategy instance =
+  Obs.Trace.span "solve" ~args:[ ("strategy", Packing.Strategy.name strategy) ]
+  @@ fun () ->
+  let probe, _retire = oracle ?kernel [ strategy ] instance in
+  Binary_search.maximize ?tolerance ?on_round probe |> finish instance

@@ -29,16 +29,14 @@ val pack_at_yield :
 
 val solve :
   ?tolerance:float ->
-  ?pool:Par.Pool.t ->
   ?on_round:(float array -> unit) ->
   ?kernel:bool ->
   Packing.Strategy.t ->
   Model.Instance.t ->
   solution option
-(** Binary-search the yield with a single strategy as oracle. With a
-    [pool] of size > 1 the search runs {!Binary_search.maximize_par} —
-    same solution bit-for-bit, fewer oracle rounds. [on_round] observes
-    each round's probed yields (instrumentation).
+(** Binary-search the yield with a single strategy as oracle. [on_round]
+    observes each probed yield (instrumentation). A single-strategy probe
+    has nothing to run in parallel, so there is no pool.
 
     By default probes run through the probe-shared packing kernel
     (DESIGN.md §11): per-solve item/bin scratch refilled in place,
@@ -46,7 +44,8 @@ val solve :
     bit-identical to the naive fresh-allocation path, just cheaper.
     [~kernel:false] runs the naive path instead — the reference the
     differential tests compare against. Kernel sort-memo hits land on the
-    [vp_solver.items_cache_hits] counter. *)
+    [vp_solver.items_cache_hits] counter, counted as the sequential probe
+    meets them. *)
 
 val solve_multi :
   ?tolerance:float ->
@@ -59,7 +58,14 @@ val solve_multi :
 (** Binary-search where each probe tries the strategies in order and
     succeeds as soon as one packs — the META* construction (§3.5.3,
     §3.5.5). The achieved minimum yield is evaluated on the final
-    placement. [pool] / [on_round] / [kernel] as in {!solve}. *)
+    placement. With a [pool] of size > 1 each probe runs its strategy
+    attempts as a first-success search over the pool
+    ({!Par.Pool.find_first}, DESIGN.md §8): the probe returns the
+    lowest-index strategy that packs, the sequential answer, so the
+    solution is bit-identical and every metric counts the sequential
+    work. Attempts run past the winner are recorded on the [probe] trace
+    span ([off_path]), never in the metrics. [on_round] / [kernel] as in
+    {!solve}. *)
 
 val batch_oracle :
   ?kernel:bool ->
@@ -70,13 +76,15 @@ val batch_oracle :
     (kernel-backed unless [~kernel:false], see {!solve}) together with its
     retirement hook, for callers that drive the yield search themselves —
     the batched solve driver ({!Batch}) stepping a {!Binary_search.plan}
-    under {!Par.Scheduler}. The oracle owns its probe scratch: one kernel
-    per domain that runs one of its probes, built on that domain's first
-    probe, shared with no other oracle. Calling the hook after the last
-    probe drops those kernels early; an oracle that is never retired
-    frees them when it is itself collected. Nothing is kept across
-    solves, so concurrent oracles over identically shaped instances
-    cannot disturb each other. *)
+    under {!Par.Scheduler}. Its probes scan the strategies sequentially:
+    the batched driver runs each probe as a task on the scheduler's pool,
+    where a nested pool call is forbidden. The oracle owns its probe
+    scratch: one kernel per domain that runs one of its probes, built on
+    that domain's first probe, shared with no other oracle. Calling the
+    hook after the last probe drops those kernels early; an oracle that
+    is never retired frees them when it is itself collected. Nothing is
+    kept across solves, so concurrent oracles over identically shaped
+    instances cannot disturb each other. *)
 
 val evaluate : Model.Instance.t -> Model.Placement.t -> solution option
 (** Water-fill a placement into a [solution] (shared by greedy and rounding

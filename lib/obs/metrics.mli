@@ -17,13 +17,15 @@
       ever records a wall-clock time; timestamps live only in
       {!Obs.Trace} exports.
 
-    The speculative probe search ({!Heuristics.Binary_search.maximize_par})
-    is the one instrumented path whose {e work} depends on a pool size: a
-    probe pool of size k evaluates off-path candidate yields that the
-    sequential search never reaches. Those operations really happen and are
-    really counted (plus summarized under [binary_search.speculative_waste]);
-    counters are invariant in the {e trial fan-out} domain count, not in the
-    probe-pool size. *)
+    {!Par.Pool.find_first} keeps the same invariant for a pooled single
+    solve: it merges only the sinks of the attempts the sequential scan
+    makes. The one instrumented path whose {e work} depends on a pool size
+    is a batch tail: a batched yield search ({!Heuristics.Batch}) whose
+    pool share exceeds one domain evaluates off-path candidate yields that
+    the sequential search never reaches. Those operations really happen
+    and are really counted (plus summarized under
+    [binary_search.speculative_waste]); batched counters are invariant in
+    the {e trial fan-out} domain count, not in the scheduler's pool size. *)
 
 type counter
 (** Handle to a registered counter (a monotone int). *)

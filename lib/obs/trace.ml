@@ -28,14 +28,15 @@ let record ev =
 let now_us () = Unix.gettimeofday () *. 1e6
 let tid () = (Domain.self () :> int)
 
-let span ?(args = []) name f =
+let span ?(args = []) ?late name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let t0 = now_us () in
     Fun.protect
       ~finally:(fun () ->
-        record
-          { name; ph = 'X'; ts = t0; dur = now_us () -. t0; tid = tid (); args })
+        let dur = now_us () -. t0 in
+        let args = match late with Some g -> args @ g () | None -> args in
+        record { name; ph = 'X'; ts = t0; dur; tid = tid (); args })
       f
   end
 

@@ -4,7 +4,7 @@
     process-global buffer and exports them in the Chrome trace-event JSON
     format, so a solver run can be opened in [chrome://tracing] or
     Perfetto. Each event carries the recording domain's id as its [tid],
-    which makes speculative probe fan-out visible as parallel tracks.
+    which makes parallel probe work visible as parallel tracks.
 
     Tracing is the {e intentionally nondeterministic} half of [Obs]:
     timestamps and durations appear only in the exported file, never on
@@ -22,10 +22,17 @@ val stop : unit -> unit
 val reset : unit -> unit
 (** Drop all captured events. *)
 
-val span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
+val span :
+  ?args:(string * string) list ->
+  ?late:(unit -> (string * string) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
 (** [span name f] runs [f], recording a complete ("X") event with [f]'s
     wall-clock duration when tracing is enabled (also on exceptions).
-    [args] become the event's [args] object. *)
+    [args] become the event's [args] object, followed by [late ()] —
+    arguments known only once [f] has returned, computed only when
+    tracing is enabled. *)
 
 val instant : ?args:(string * string) list -> string -> unit
 (** Record an instant ("i") event. *)

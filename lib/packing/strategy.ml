@@ -29,23 +29,26 @@ let assignment ~bins ~n_items =
    item/bin records (the packing loops only read items and mutate bins in
    place), and are built by the exact [Vec.Metric.sort] the uncached path
    runs — same stable sort over the same values — so a cached run is
-   bit-identical to an uncached one. Counted under the solver's namespace:
-   it is [Vp_solver]'s probe bill these hits cut. *)
-let c_item_hits = Obs.Metrics.counter "vp_solver.items_cache_hits"
-
+   bit-identical to an uncached one. [hits] counts item-order memo hits
+   since the last [cache_new_probe]: a physical count, which depends on
+   which attempts this cache saw, so it is not a metric. *)
 type cache = {
   mutable sorted_items : (Vec.Metric.order * Item.t array) list;
   mutable sorted_bins : (Vec.Metric.order * Bin.t array) list;
+  mutable hits : int;
   pp_scratch : Permutation_pack.scratch;
 }
 
 let cache () =
-  { sorted_items = []; sorted_bins = [];
+  { sorted_items = []; sorted_bins = []; hits = 0;
     pp_scratch = Permutation_pack.scratch () }
 
 let cache_new_probe c =
   c.sorted_items <- [];
+  c.hits <- 0;
   Permutation_pack.scratch_new_probe c.pp_scratch
+
+let cache_hits c = c.hits
 
 let items_in_order cache order items =
   match cache with
@@ -53,7 +56,7 @@ let items_in_order cache order items =
   | Some c -> (
       match List.assoc_opt order c.sorted_items with
       | Some sorted ->
-          Obs.Metrics.incr c_item_hits;
+          c.hits <- c.hits + 1;
           sorted
       | None ->
           let sorted = Vec.Metric.sort order Item.size items in

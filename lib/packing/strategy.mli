@@ -36,8 +36,7 @@ type cache
     {!Permutation_pack.scratch} whose per-item demand permutations are
     likewise memoized per probe. The memoized arrays alias the caller's
     item and bin records, so a cache must only ever be used with the one
-    item/bin pair it first saw, from one domain at a time. Hits land on
-    the [vp_solver.items_cache_hits] counter. *)
+    item/bin pair it first saw, from one domain at a time. *)
 
 val cache : unit -> cache
 (** A fresh, empty memo table. *)
@@ -45,6 +44,9 @@ val cache : unit -> cache
 val cache_new_probe : cache -> unit
 (** Drop the item-order memos (call after refilling item demands for a new
     probe); bin-order memos are kept. *)
+
+val cache_hits : cache -> int
+(** Item-order memo hits since the last {!cache_new_probe}. *)
 
 val run : ?cache:cache -> t -> bins:Bin.t array -> items:Item.t array ->
   int array option

@@ -42,13 +42,13 @@ let worker_loop pool =
    the pool's identity, not a bare flag. *)
 let executing : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let check_not_nested pool =
+let check_not_nested name pool =
   match Domain.DLS.get executing with
   | Some p when p == pool ->
       invalid_arg
-        "Par.Pool.map: nested map on the same pool from inside a task \
-         (documented as forbidden; use a second pool or restructure the \
-         task)"
+        ("Par.Pool." ^ name
+       ^ ": nested call on the same pool from inside a task (documented as \
+          forbidden; use a second pool or restructure the task)")
   | _ -> ()
 
 let with_executing pool f =
@@ -83,7 +83,7 @@ let submit pool job =
   Mutex.unlock pool.mutex
 
 let map pool arr f =
-  check_not_nested pool;
+  check_not_nested "map" pool;
   let n = Array.length arr in
   if pool.size = 1 || n <= 1 then with_executing pool (fun () -> Array.map f arr)
   else begin
@@ -160,6 +160,101 @@ let map pool arr f =
             | Some v -> v
             | None -> assert false (* completed = n fills every slot *))
           results
+  end
+
+(* First-success search. Participants claim indices in order from one
+   counter; an outcome (a success or a raise) at index i lowers [best] to
+   i, and a participant stops at its first claim at or above [best] —
+   every later claim of anyone is higher still, so nothing above the
+   final winner starts after the winner is known. Every index below the
+   final [best] was claimed before it and claimed below every value
+   [best] ever held, so it ran and returned [None]: the winner is the
+   sequential scan's. [active] counts participants between announcing a
+   claim and finishing it. A participant that announces after the caller
+   stopped claims above the caller's last claim, so it runs nothing; once
+   [active] reads 0 after the caller's own loop, every outcome and task
+   sink is written and visible. *)
+let find_first pool n f =
+  check_not_nested "find_first" pool;
+  if pool.size = 1 || n <= 1 then
+    with_executing pool (fun () ->
+        let rec scan i =
+          if i >= n then None
+          else match f i with Some v -> Some (i, v) | None -> scan (i + 1)
+        in
+        scan 0)
+  else begin
+    let obs = Obs.Metrics.enabled () in
+    let sinks = if obs then Array.make n None else [||] in
+    let outcomes = Array.make n None in
+    let next = Atomic.make 0 in
+    let best = Atomic.make n in
+    let active = Atomic.make 0 in
+    let idle_mutex = Mutex.create () in
+    let idle = Condition.create () in
+    let rec lower i =
+      let b = Atomic.get best in
+      if i < b && not (Atomic.compare_and_set best b i) then lower i
+    in
+    let attempt i =
+      match f i with
+      | Some v -> Some (Ok v)
+      | None -> None
+      | exception e -> Some (Error (e, Printexc.get_raw_backtrace ()))
+    in
+    let run_claims () =
+      with_executing pool @@ fun () ->
+      let rec loop () =
+        Atomic.incr active;
+        let i = Atomic.fetch_and_add next 1 in
+        let live = i < n && i < Atomic.get best in
+        if live then begin
+          let outcome =
+            if obs then begin
+              let s = Obs.Metrics.fresh_sink () in
+              sinks.(i) <- Some s;
+              Obs.Metrics.with_sink s (fun () -> attempt i)
+            end
+            else attempt i
+          in
+          match outcome with
+          | Some _ ->
+              outcomes.(i) <- outcome;
+              lower i
+          | None -> ()
+        end;
+        if Atomic.fetch_and_add active (-1) = 1 then begin
+          Mutex.lock idle_mutex;
+          Condition.broadcast idle;
+          Mutex.unlock idle_mutex
+        end;
+        if live then loop ()
+      in
+      loop ()
+    in
+    for _ = 1 to min (pool.size - 1) (n - 1) do
+      submit pool run_claims
+    done;
+    run_claims ();
+    Mutex.lock idle_mutex;
+    while Atomic.get active > 0 do
+      Condition.wait idle idle_mutex
+    done;
+    Mutex.unlock idle_mutex;
+    let winner = Atomic.get best in
+    (* The sequential scan would have run exactly the indices up to the
+       winner; merging their sinks in index order and dropping the rest
+       gives its counts. *)
+    if obs then
+      for i = 0 to min winner (n - 1) do
+        Option.iter Obs.Metrics.merge_into_current sinks.(i)
+      done;
+    if winner = n then None
+    else
+      match outcomes.(winner) with
+      | Some (Ok v) -> Some (winner, v)
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None -> assert false (* [best] is lowered only after the write *)
   end
 
 let default_chunk pool n = max 1 (n / (pool.size * 4))

@@ -9,6 +9,8 @@
     share mutable state, and {!map} returns results in input order, so the
     fold that aggregates them observes exactly the sequential order. A pool
     of size 1 short-circuits to [Array.map] — the legacy path.
+    {!find_first} serves a single solve instead: a first-success search
+    over a probe's strategy list whose answer is the sequential scan's.
 
     Built on the 5.1 stdlib only ([Domain], [Mutex], [Condition],
     [Atomic]); no external scheduler. Worker domains live for the lifetime
@@ -41,6 +43,26 @@ val map : t -> 'a array -> ('a -> 'b) -> 'b array
     sink {e in input order} after the round, so metric totals are
     byte-identical to the sequential run at any pool size (the enabled
     flag is sampled once per map; do not toggle it mid-map). *)
+
+val find_first : t -> int -> (int -> 'a option) -> (int * 'a) option
+(** [find_first pool n f] is the sequential first-success scan
+    [f 0], [f 1], ... [f (n-1)]: it returns [Some (i, v)] for the lowest
+    index whose [f i] is [Some v], and [None] when every call returns
+    [None]. A raise counts as an outcome: it is re-raised only when it
+    comes before every success, so the same exception as the scan's
+    escapes. Domains claim indices in order from one counter; once an
+    index has an outcome, claims above it are skipped, but calls above
+    the winner that were already running finish and are discarded, so
+    [f] must be pure as seen from outside and safe to run concurrently.
+    The empty and one-element inputs, and a pool of size 1, run the
+    scan on the caller. A nested call on the same pool from inside a
+    task raises [Invalid_argument], as for {!map}.
+
+    With {!Obs.Metrics} enabled, every claimed index runs against its
+    own sink; the sinks of the indices up to the winner (all of them
+    when there is none) are merged into the caller's sink in index
+    order and the rest are dropped, so the merged counts are the
+    sequential scan's at any pool size. *)
 
 val map_reduce :
   t ->

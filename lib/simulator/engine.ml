@@ -94,17 +94,29 @@ let c_bins_touched = Obs.Metrics.counter "simulator.bins_touched"
 let h_epoch_yield = Obs.Metrics.histogram "simulator.epoch_min_yield_permille"
 let h_realloc_services = Obs.Metrics.histogram "simulator.reallocation_services"
 
+(* Every float field is checked with a comparison that NaN fails, so a
+   non-finite value is rejected instead of slipping past a [<= 0.] test
+   into a run that reports a NaN yield. *)
 let validate config ~platform =
-  if config.horizon <= 0. then invalid_arg "Engine.run: horizon";
-  if config.arrival_rate <= 0. then invalid_arg "Engine.run: arrival_rate";
-  if config.mean_lifetime <= 0. then invalid_arg "Engine.run: mean_lifetime";
-  if config.reallocation_period <= 0. then
-    invalid_arg "Engine.run: reallocation_period";
-  if config.max_error < 0. then invalid_arg "Engine.run: max_error";
-  if config.per_core_need <= 0. then invalid_arg "Engine.run: per_core_need";
-  if config.memory_scale <= 0. then invalid_arg "Engine.run: memory_scale";
+  let positive name x =
+    if not (Float.is_finite x && x > 0.) then invalid_arg ("Engine.run: " ^ name)
+  in
+  let non_negative name x =
+    if not (Float.is_finite x && x >= 0.) then
+      invalid_arg ("Engine.run: " ^ name)
+  in
+  positive "horizon" config.horizon;
+  positive "arrival_rate" config.arrival_rate;
+  positive "mean_lifetime" config.mean_lifetime;
+  positive "reallocation_period" config.reallocation_period;
+  non_negative "max_error" config.max_error;
+  (match config.threshold with
+  | Fixed t -> non_negative "threshold" t
+  | Adaptive _ -> ());
+  positive "per_core_need" config.per_core_need;
+  positive "memory_scale" config.memory_scale;
   if config.repair_budget < 0 then invalid_arg "Engine.run: repair_budget";
-  if config.yield_gap < 0. || config.yield_gap >= 1. then
+  if not (config.yield_gap >= 0. && config.yield_gap < 1.) then
     invalid_arg "Engine.run: yield_gap";
   (* The admission path and [service_of_live] assume the 2-D (CPU, memory)
      layout of [Model.Service.make_2d]; reject anything else up front

@@ -94,6 +94,15 @@ type timeline_sample = {
     metrics are enabled and independent of what else runs in the
     process. *)
 
+val validate : config -> platform:Model.Node.t array -> unit
+(** The input checks {!run} starts with: raises [Invalid_argument
+    "Engine.run: <field>"] on a horizon, arrival rate, mean lifetime,
+    reallocation period, per-core need or memory scale that is not
+    finite and positive; a max error or fixed threshold that is not
+    finite and non-negative; a negative repair budget; a yield gap
+    outside [0, 1) (NaN included); and on any platform that is empty or
+    not 2-D. *)
+
 val run :
   ?rng:Prng.Rng.t ->
   ?incremental:bool ->
@@ -103,11 +112,10 @@ val run :
   platform:Model.Node.t array ->
   stats
 (** Simulate. Deterministic given the rng (default seed 0). Raises
-    [Invalid_argument] on non-positive horizon, rates, or periods, on a
-    negative repair budget or a yield gap outside [0, 1), and on any
-    platform that is empty or not 2-D — the admission path reads the
-    memory capacity at {!Model.Service.mem_dim} and would silently
-    misread any other dimension layout.
+    [Invalid_argument] on the inputs {!validate} rejects — a platform
+    that is not 2-D among them: the admission path reads the memory
+    capacity at {!Model.Service.mem_dim} and would silently misread any
+    other dimension layout.
 
     [incremental] (default [true]) only affects the probe placement
     policies: [false] rebuilds the per-bin load state from the live

@@ -21,8 +21,11 @@ let validate config =
   if config.hosts <= 0 then invalid_arg "Generator: hosts must be positive";
   if config.services <= 0 then
     invalid_arg "Generator: services must be positive";
-  if config.cov < 0. then invalid_arg "Generator: cov must be non-negative";
-  if config.slack <= 0. || config.slack >= 1. then
+  (* Comparisons that NaN fails: a NaN cov would otherwise pass and
+     build a homogeneous platform without a word. *)
+  if not (Float.is_finite config.cov && config.cov >= 0.) then
+    invalid_arg "Generator: cov must be finite and non-negative";
+  if not (config.slack > 0. && config.slack < 1.) then
     invalid_arg "Generator: slack must be in (0, 1)"
 
 let capacity_median = 0.5

@@ -25,10 +25,14 @@ type config = {
 val default : config
 (** 64 hosts, 100 services, cov 0.5, slack 0.4, fully heterogeneous. *)
 
+val validate : config -> unit
+(** Raises [Invalid_argument] on nonsensical parameters: [hosts] or
+    [services <= 0], a [cov] that is negative or not finite, a [slack]
+    outside (0, 1) (NaN included). *)
+
 val generate : ?rng:Prng.Rng.t -> config -> Model.Instance.t
-(** Deterministic given the rng (default seed 42). Raises
-    [Invalid_argument] on nonsensical parameters ([hosts/services <= 0],
-    [cov < 0], [slack] outside (0, 1)). *)
+(** Deterministic given the rng (default seed 42). Starts with
+    {!validate}. *)
 
 val generate_platform : rng:Prng.Rng.t -> config -> Model.Node.t array
 val generate_services :

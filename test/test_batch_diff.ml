@@ -169,7 +169,8 @@ let test_same_shape_tenants () =
    take exactly one interleaved round per 16 serial binary-search rounds
    on pools up to 4 (every tenant's share is one domain, so every round
    carries one probe per tenant); and a 1-tenant batch takes exactly the
-   rounds of [maximize_par] on the same pool. *)
+   rounds of the plan driven alone at [depth_for ~occupancy:1] on the
+   same pool. *)
 let counter name =
   Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ()) name
 
@@ -214,16 +215,20 @@ let test_round_counts_pinned () =
             (serial_rounds / 16) rounds;
           let j = tenants.(0) in
           let par_rounds = ref 0 in
+          let oracle, _retire =
+            Heuristics.Vp_solver.batch_oracle Packing.Strategy.hvp_light
+              j.Batch.instance
+          in
           ignore
-            (Heuristics.Vp_solver.solve_multi ~pool
+            (Test_binary_search_diff.maximize_par ~pool
                ~on_round:(fun _ -> incr par_rounds)
-               Packing.Strategy.hvp_light j.Batch.instance);
+               oracle);
           let _, rounds =
             counted "scheduler.rounds_interleaved" (fun () ->
                 Batch.solve_batch ~sched [| j |])
           in
           Alcotest.(check int)
-            (Printf.sprintf "1 tenant at pool %d: maximize_par rounds"
+            (Printf.sprintf "1 tenant at pool %d: plan rounds at occupancy 1"
                domains)
             !par_rounds rounds))
     [ 1; 2; 4; 8 ]

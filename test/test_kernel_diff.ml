@@ -5,7 +5,7 @@
    reached via ~kernel:false — same Some/None, same placement, same
    yield to the last bit — across random instances, single-strategy
    (FF/BF/PP/CP) and META (VP/HVP/HVPLIGHT) strategy sets, and
-   probe-pool sizes 1/2/4. *)
+   probe-pool sizes 1/2/4/8. *)
 
 module VS = Heuristics.Vp_solver
 
@@ -72,40 +72,48 @@ let check_identical msg kernel naive =
   | Some _, None -> Alcotest.failf "%s: kernel Some, naive None" msg
   | None, Some _ -> Alcotest.failf "%s: kernel None, naive Some" msg
 
-let pool_sizes = [ 1; 2; 4 ]
+let pool_sizes = [ 1; 2; 4; 8 ]
 
+(* A single-strategy probe has nothing to run in parallel, so these
+   solves take no pool. *)
 let test_kernel_vs_naive_singles () =
   List.iter
-    (fun domains ->
-      with_pool ~domains (fun pool ->
-          List.iter
-            (fun (seed, inst) ->
-              List.iter
-                (fun (sname, strategy) ->
-                  check_identical
-                    (Printf.sprintf "seed %d, %s, %d domains" seed sname
-                       domains)
-                    (VS.solve ~pool ~kernel:true strategy inst)
-                    (VS.solve ~pool ~kernel:false strategy inst))
-                single_strategies)
-            corpus))
-    pool_sizes
+    (fun (seed, inst) ->
+      List.iter
+        (fun (sname, strategy) ->
+          check_identical
+            (Printf.sprintf "seed %d, %s" seed sname)
+            (VS.solve ~kernel:true strategy inst)
+            (VS.solve ~kernel:false strategy inst))
+        single_strategies)
+    corpus
 
+(* The pooled kernel against the sequential naive reference: the pool
+   spreads each probe's strategy attempts over domains, the reference
+   scans them in order on one. *)
 let test_kernel_vs_naive_meta () =
+  let naive =
+    List.map
+      (fun (_, inst) ->
+        List.map
+          (fun (_, strategies) -> VS.solve_multi ~kernel:false strategies inst)
+          meta_sets)
+      corpus
+  in
   List.iter
     (fun domains ->
       with_pool ~domains (fun pool ->
-          List.iter
-            (fun (seed, inst) ->
-              List.iter
-                (fun (mname, strategies) ->
+          List.iter2
+            (fun (seed, inst) naive ->
+              List.iter2
+                (fun (mname, strategies) naive ->
                   check_identical
                     (Printf.sprintf "seed %d, %s, %d domains" seed mname
                        domains)
                     (VS.solve_multi ~pool ~kernel:true strategies inst)
-                    (VS.solve_multi ~pool ~kernel:false strategies inst))
-                meta_sets)
-            corpus))
+                    naive)
+                meta_sets naive)
+            corpus naive))
     pool_sizes
 
 (* The full 253-strategy METAHVP set is the expensive one; lock it down on
@@ -118,18 +126,23 @@ let test_kernel_vs_naive_metahvp () =
       (2, gen_instance ~seed:2 ~hosts:3 ~services:8 ~slack:0.9);
     ]
   in
+  let naive =
+    List.map
+      (fun (_, inst) ->
+        VS.solve_multi ~kernel:false Packing.Strategy.hvp_all inst)
+      picks
+  in
   List.iter
     (fun domains ->
       with_pool ~domains (fun pool ->
-          List.iter
-            (fun (seed, inst) ->
+          List.iter2
+            (fun (seed, inst) naive ->
               check_identical
                 (Printf.sprintf "seed %d, METAHVP, %d domains" seed domains)
                 (VS.solve_multi ~pool ~kernel:true Packing.Strategy.hvp_all
                    inst)
-                (VS.solve_multi ~pool ~kernel:false Packing.Strategy.hvp_all
-                   inst))
-            picks))
+                naive)
+            picks naive))
     pool_sizes
 
 let counters_after solve =

@@ -231,6 +231,56 @@ let test_algorithm_snapshots_pinned () =
     algorithms algorithm_snapshots;
   Obs.Metrics.reset ()
 
+(* A pool of size > 1 runs each probe's strategies as a first-success
+   search; the counts must still be the sequential ones, byte for byte:
+   the pool-1 render is the committed golden, and pools 2/4/8 match it.
+   Attempts run past a probe's winner appear only on the probe trace
+   span. *)
+let test_pooled_solve_snapshots () =
+  with_enabled true @@ fun () ->
+  let inst = Lazy.force corpus_point in
+  let render ~pool (a : Heuristics.Algorithms.t) =
+    Obs.Metrics.reset ();
+    ignore (a.solve ~pool inst);
+    Obs.Metrics.Snapshot.render (Obs.Metrics.snapshot ())
+  in
+  List.iter
+    (fun (a : Heuristics.Algorithms.t) ->
+      let serial = Par.Pool.with_pool ~domains:1 (fun pool -> render ~pool a) in
+      Alcotest.(check string) (a.name ^ " at pool 1 = golden")
+        (List.assoc a.name algorithm_snapshots) serial;
+      List.iter
+        (fun domains ->
+          Par.Pool.with_pool ~domains (fun pool ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s at pool %d" a.name domains)
+                serial (render ~pool a)))
+        [ 2; 4; 8 ])
+    Heuristics.Algorithms.[ metavp; metahvp; metahvplight ];
+  Obs.Metrics.reset ();
+  Obs.Trace.reset ();
+  Obs.Trace.start ();
+  Fun.protect ~finally:(fun () ->
+      Obs.Trace.stop ();
+      Obs.Trace.reset ())
+  @@ fun () ->
+  Par.Pool.with_pool ~domains:2 (fun pool ->
+      ignore (Heuristics.Algorithms.metahvp.solve ~pool inst));
+  let json = Obs.Trace.to_json () in
+  let occurrences needle =
+    let n = String.length needle in
+    let rec go i acc =
+      if i + n > String.length json then acc
+      else go (i + 1) (if String.sub json i n = needle then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  Alcotest.(check int) "probe spans" 16 (occurrences "\"name\": \"probe\"");
+  Alcotest.(check int) "off_path on every probe" 16
+    (occurrences "\"off_path\"");
+  Alcotest.(check int) "memo_hits on every probe" 16
+    (occurrences "\"memo_hits\"")
+
 let test_trace_spans () =
   Obs.Trace.stop ();
   Obs.Trace.reset ();
@@ -377,4 +427,6 @@ let suite =
       ("trace span nesting and folded stacks", test_trace_nesting);
       ("folded stacks identical at 1/2/4 domains",
        test_trace_folded_pool_invariant);
+      ("pooled single solves count like sequential ones",
+       test_pooled_solve_snapshots);
     ]

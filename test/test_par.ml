@@ -71,9 +71,9 @@ let test_map_propagates_exception () =
                  if i = 5 then raise (Boom 5) else i))))
 
 (* A raising oracle inside the speculative yield search: the exception must
-   surface through [Binary_search.maximize_par]'s Pool.map round, and the
-   pool must stay usable afterwards — both for a bare map and for another
-   speculative search. *)
+   surface through the plan driver's Pool.map round
+   ([Test_binary_search_diff.maximize_par]), and the pool must stay usable
+   afterwards — both for a bare map and for another speculative search. *)
 let test_maximize_par_raising_oracle () =
   with_pool ~domains:2 (fun pool ->
       let oracle y =
@@ -82,19 +82,147 @@ let test_maximize_par_raising_oracle () =
         else raise (Boom 7)
       in
       Alcotest.check_raises "oracle exception propagates" (Boom 7) (fun () ->
-          ignore (Heuristics.Binary_search.maximize_par ~pool oracle));
+          ignore (Test_binary_search_diff.maximize_par ~pool oracle));
       let input = Array.init 16 (fun i -> i) in
       Alcotest.(check (array int)) "pool still maps"
         (Array.map succ input)
         (Par.Pool.map pool input succ);
       let target = 0.37 in
       let sane y = if y <= target then Some y else None in
-      match Heuristics.Binary_search.maximize_par ~pool sane with
+      match Test_binary_search_diff.maximize_par ~pool sane with
       | Some (_, y) ->
           Alcotest.(check bool) "pool still searches" true
             (y <= target
             && target -. y <= 2. *. Heuristics.Binary_search.default_tolerance)
       | None -> Alcotest.fail "search after error should succeed")
+
+(* [find_first] against the sequential left-to-right scan, on random
+   outcome vectors: each index returns [None], returns [Some], or raises,
+   after a random amount of busy work so that claims interleave
+   differently from run to run. The result, including which exception
+   escapes, must be the scan's at pools 1/2/4/8, and with metrics live
+   the merged counts must be the scan's too: one call per index up to
+   the winner, and the sum of those indices. *)
+type outcome = Miss | Hit of int | Raise of int
+
+let c_ff_calls = Obs.Metrics.counter "test.find_first.calls"
+let c_ff_index_sum = Obs.Metrics.counter "test.find_first.index_sum"
+
+let spin k =
+  let acc = ref 0 in
+  for i = 1 to k do
+    acc := (!acc + i) land 0xffff
+  done;
+  ignore (Sys.opaque_identity !acc)
+
+let run_find_first find (outcomes, work) =
+  let f i =
+    spin work.(i);
+    Obs.Metrics.incr c_ff_calls;
+    Obs.Metrics.add c_ff_index_sum i;
+    match outcomes.(i) with
+    | Miss -> None
+    | Hit v -> Some v
+    | Raise k -> raise (Boom k)
+  in
+  let counter name =
+    Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ()) name
+  in
+  let calls0 = counter "test.find_first.calls" in
+  let sum0 = counter "test.find_first.index_sum" in
+  let result =
+    match find (Array.length outcomes) f with
+    | Some (i, v) -> `Found (i, v)
+    | None -> `Nothing
+    | exception Boom k -> `Raised k
+  in
+  ( result,
+    counter "test.find_first.calls" - calls0,
+    counter "test.find_first.index_sum" - sum0 )
+
+let sequential_scan n f =
+  let rec go i =
+    if i >= n then None
+    else match f i with Some v -> Some (i, v) | None -> go (i + 1)
+  in
+  go 0
+
+let gen_outcomes =
+  QCheck2.Gen.(
+    let* n = int_range 0 40 in
+    let outcome =
+      frequency
+        [
+          (12, pure Miss);
+          (1, map (fun v -> Hit v) (int_range 0 999));
+          (1, map (fun k -> Raise k) (int_range 0 999));
+        ]
+    in
+    let* outcomes = array_size (pure n) outcome in
+    let* work = array_size (pure n) (int_range 0 20_000) in
+    pure (outcomes, work))
+
+let test_find_first_matches_scan () =
+  let was_enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was_enabled)
+  @@ fun () ->
+  with_pool ~domains:1 @@ fun p1 ->
+  with_pool ~domains:2 @@ fun p2 ->
+  with_pool ~domains:4 @@ fun p4 ->
+  with_pool ~domains:8 @@ fun p8 ->
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"find_first = sequential scan" ~count:150
+       gen_outcomes (fun input ->
+         let expected = run_find_first sequential_scan input in
+         List.for_all
+           (fun pool ->
+             run_find_first (Par.Pool.find_first pool) input = expected)
+           [ p1; p2; p4; p8 ]))
+
+(* A nested call on the same pool is rejected at every pool size, also
+   from inside a [map] task; and the empty and one-element inputs run on
+   the caller. *)
+let test_find_first_nested_and_small () =
+  List.iter
+    (fun domains ->
+      with_pool ~domains (fun pool ->
+          let nested_message f =
+            match f () with
+            | _ -> Alcotest.failf "nested call accepted (domains=%d)" domains
+            | exception Invalid_argument msg -> msg
+          in
+          let msg =
+            nested_message (fun () ->
+                Par.Pool.find_first pool 4 (fun _ ->
+                    Par.Pool.find_first pool 2 (fun _ -> None)))
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "find_first in find_first (domains=%d): %s"
+               domains msg)
+            true
+            (String.starts_with ~prefix:"Par.Pool.find_first: nested" msg);
+          let msg =
+            nested_message (fun () ->
+                Par.Pool.map pool [| 1; 2 |] (fun _ ->
+                    Par.Pool.find_first pool 2 (fun _ -> None)))
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "find_first in map (domains=%d): %s" domains msg)
+            true
+            (String.starts_with ~prefix:"Par.Pool.find_first: nested" msg);
+          let caller = Domain.self () in
+          Alcotest.(check bool) "empty input: no call" true
+            (Par.Pool.find_first pool 0 (fun _ -> assert false) = None);
+          Alcotest.(check bool) "one element runs on the caller" true
+            (Par.Pool.find_first pool 1 (fun i ->
+                 if Domain.self () = caller then Some i else None)
+            = Some (0, 0));
+          Alcotest.(check bool) "pool usable after rejection" true
+            (Par.Pool.find_first pool 8 (fun i ->
+                 if i >= 5 then Some i else None)
+            = Some (5, 5))))
+    [ 1; 2; 4 ]
 
 (* A task that maps on its own pool again would deadlock or starve (one
    job queue, and the task occupies the claim loop), so the re-entry must
@@ -255,4 +383,8 @@ let suite =
       ("domains_from_env parsing sweep", test_domains_from_env_parsing);
       ("with_pool joins workers on exception",
        test_with_pool_shutdown_on_exception);
+      ("find_first = sequential scan at pools 1/2/4/8",
+       test_find_first_matches_scan);
+      ("find_first nested call rejected, small inputs on the caller",
+       test_find_first_nested_and_small);
     ]

@@ -376,6 +376,32 @@ let test_engine_validation () =
            { quick_config with horizon = 0. }
            ~platform))
 
+(* Every float field of the config rejects NaN and infinity at the
+   library boundary, and a well-formed config passes. *)
+let test_engine_validate_non_finite () =
+  let rejects name config =
+    Alcotest.check_raises name (Invalid_argument ("Engine.run: " ^ name))
+      (fun () -> Simulator.Engine.validate config ~platform)
+  in
+  Simulator.Engine.validate quick_config ~platform;
+  List.iter
+    (fun x ->
+      rejects "horizon" { quick_config with horizon = x };
+      rejects "arrival_rate" { quick_config with arrival_rate = x };
+      rejects "mean_lifetime" { quick_config with mean_lifetime = x };
+      rejects "reallocation_period"
+        { quick_config with reallocation_period = x };
+      rejects "max_error" { quick_config with max_error = x };
+      rejects "threshold"
+        { quick_config with threshold = Simulator.Engine.Fixed x };
+      rejects "per_core_need" { quick_config with per_core_need = x };
+      rejects "memory_scale" { quick_config with memory_scale = x };
+      rejects "yield_gap" { quick_config with yield_gap = x })
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.check_raises "empty platform"
+    (Invalid_argument "Engine.run: empty platform") (fun () ->
+      Simulator.Engine.validate quick_config ~platform:[||])
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -401,3 +427,7 @@ let suite =
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_queue_sorts; prop_queue_fifo_ties; prop_active_set_matches_list ]
+  @ [
+      Alcotest.test_case "engine validate rejects non-finite" `Quick
+        test_engine_validate_non_finite;
+    ]

@@ -124,6 +124,23 @@ let test_generator_validation () =
     (Invalid_argument "Generator: slack must be in (0, 1)") (fun () ->
       ignore (Workload.Generator.generate (config ~slack:1.0 ())))
 
+(* NaN and infinite parameters are rejected by the generator itself, not
+   only by the command line: a NaN cov used to build a homogeneous
+   platform. *)
+let test_generator_validate_non_finite () =
+  let cov_msg = "Generator: cov must be finite and non-negative" in
+  let slack_msg = "Generator: slack must be in (0, 1)" in
+  Workload.Generator.validate (config ());
+  List.iter
+    (fun x ->
+      Alcotest.check_raises "cov" (Invalid_argument cov_msg) (fun () ->
+          Workload.Generator.validate (config ~cov:x ()));
+      Alcotest.check_raises "slack" (Invalid_argument slack_msg) (fun () ->
+          Workload.Generator.validate (config ~slack:x ())))
+    [ Float.nan; Float.infinity ];
+  Alcotest.check_raises "generate checks cov" (Invalid_argument cov_msg)
+    (fun () -> ignore (Workload.Generator.generate (config ~cov:Float.nan ())))
+
 let test_generator_sizes () =
   let inst = Workload.Generator.generate (config ()) in
   Alcotest.(check int) "hosts" 16 (Model.Instance.n_nodes inst);
@@ -425,3 +442,7 @@ let suite =
       ("nd validation", test_nd_validation);
     ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_generator_invariants ]
+  @ [
+      Alcotest.test_case "generator rejects non-finite" `Quick
+        test_generator_validate_non_finite;
+    ]
